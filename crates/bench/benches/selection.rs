@@ -4,8 +4,8 @@
 //! miniature.
 
 use als_circuits::ripple_carry_adder;
+use als_core::sasimi::sasimi;
 use als_core::{multi_selection, single_selection, AlsConfig, PatternPolicy};
-use als_sasimi::sasimi;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

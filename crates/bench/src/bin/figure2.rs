@@ -38,7 +38,7 @@ fn main() {
                 continue;
             }
         }
-        let golden = (bench.build)();
+        let golden = als_bench::artifacts((bench.build)());
         let mut row = Vec::new();
         for &t in &thresholds {
             let r = run_one(bench.name, &golden, Algorithm::SingleSelection, t, quick, 1);

@@ -91,7 +91,7 @@ fn main() {
     }
 
     for bench in &benches {
-        let golden = (bench.build)();
+        let golden = als_bench::artifacts((bench.build)());
         let mut record = BenchRecord::new(bench.name, args.threads, args.quick);
         record.notes.clone_from(&args.notes);
         for &alg in &Algorithm::ALL {

@@ -25,8 +25,8 @@ fn main() {
     );
     let mut prev: Option<(f64, [f64; 3])> = None;
     for &w in widths {
-        let golden = adder_comparator(w);
-        let nodes = golden.num_internal() as f64;
+        let golden = als_bench::artifacts(adder_comparator(w));
+        let nodes = golden.network.num_internal() as f64;
         let mut times = [0.0f64; 3];
         for (i, &alg) in Algorithm::ALL.iter().enumerate() {
             let r = run_one(&format!("ADDCMP{w}"), &golden, alg, 0.05, quick, threads);

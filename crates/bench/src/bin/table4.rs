@@ -32,7 +32,7 @@ fn main() {
     if json {
         // Perf-record mode: one BENCH_*.json object per circuit on stdout.
         for bench in &benches {
-            let golden = (bench.build)();
+            let golden = als_bench::artifacts((bench.build)());
             let mut record = BenchRecord::new(bench.name, threads, quick);
             for &alg in &Algorithm::ALL {
                 for &t in &thresholds {
@@ -63,7 +63,7 @@ fn main() {
     let mut per_alg_delays: Vec<Vec<f64>> = vec![Vec::new(); 3];
 
     for bench in &benches {
-        let golden = (bench.build)();
+        let golden = als_bench::artifacts((bench.build)());
         let mut ratios = [0.0f64; 3];
         let mut times = [0.0f64; 3];
         for (ai, &alg) in Algorithm::ALL.iter().enumerate() {

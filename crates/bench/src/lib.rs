@@ -22,7 +22,9 @@
 #![warn(missing_docs)]
 
 use als_circuits::{all_benchmarks, Benchmark};
-use als_core::{approximate, AlsConfig, AlsOutcome, PatternPolicy, Strategy};
+use als_core::{
+    approximate_with_context, AlsConfig, AlsOutcome, CircuitArtifacts, PatternPolicy, Strategy,
+};
 use als_mapper::{map_network, Library};
 use als_network::Network;
 use als_telemetry::MetricsReport;
@@ -30,13 +32,10 @@ use als_telemetry::MetricsReport;
 pub mod record;
 pub mod serve_record;
 
-/// The seven error-rate thresholds of the paper's evaluation (§6).
-pub const PAPER_THRESHOLDS: [f64; 7] = [0.001, 0.003, 0.005, 0.008, 0.01, 0.03, 0.05];
-
-/// Reduced setup for `--quick` runs: four thresholds, fewer patterns. The
-/// paper's tightest threshold is included so the perf smoke exercises the
-/// static-pruning fast path (simulations-avoided stays nonzero there).
-pub const QUICK_THRESHOLDS: [f64; 4] = [0.001, 0.005, 0.01, 0.05];
+/// The seven error-rate thresholds of the paper's evaluation (§6), and the
+/// reduced `--quick` set (the paper's tightest threshold is included so the
+/// perf smoke exercises the static-pruning fast path).
+pub use als_core::sweep::{FULL_THRESHOLDS as PAPER_THRESHOLDS, QUICK_THRESHOLDS};
 
 /// The three compared algorithms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -100,13 +99,15 @@ pub struct RunResult {
 }
 
 /// Runs one algorithm on one circuit at one threshold, reporting mapped
-/// ratios against the unmodified circuit.
+/// ratios against the unmodified circuit. `golden` carries the circuit's
+/// shared artifacts: build it once per circuit, and every call reuses its
+/// golden mapping and simulation.
 ///
 /// `threads` sizes the candidate-evaluation engine's worker pool (`0` means
 /// "use all available cores", see [`AlsConfig::threads`]).
 pub fn run_one(
     circuit_name: &str,
-    golden: &Network,
+    golden: &CircuitArtifacts,
     algorithm: Algorithm,
     threshold: f64,
     quick: bool,
@@ -134,11 +135,11 @@ pub fn run_one(
             max: config.pattern_budget(),
         };
     }
-    let outcome: AlsOutcome = approximate(golden, algorithm.strategy(), &config)
-        .expect("benchmark configuration must be valid"); // lint:allow(panic): internal invariant; the message states it
-    let lib = Library::mcnc_like();
-    let golden_mapped = map_network(golden, &lib);
-    let approx_mapped = map_network(&outcome.network, &lib);
+    let (ctx, _) = golden.context(&config);
+    let outcome: AlsOutcome =
+        approximate_with_context(&golden.network, algorithm.strategy(), &config, ctx)
+            .expect("benchmark configuration must be valid"); // lint:allow(panic): internal invariant; the message states it
+    let approx_mapped = map_network(&outcome.network, &Library::mcnc_like());
     let mut metrics = outcome.metrics.clone();
     // Telemetry has no mapper dependency, so the mapped delay is stamped
     // here — the one place that already paid for the mapping.
@@ -148,12 +149,18 @@ pub fn run_one(
         algorithm: algorithm.name().to_string(),
         threshold,
         literal_ratio: outcome.literal_ratio(),
-        area_ratio: approx_mapped.area() / golden_mapped.area(),
-        delay_ratio: approx_mapped.delay() / golden_mapped.delay(),
+        area_ratio: approx_mapped.area() / golden.golden_area,
+        delay_ratio: approx_mapped.delay() / golden.golden_delay,
         error_rate: outcome.measured_error_rate,
         runtime_s: outcome.runtime.as_secs_f64(),
         metrics,
     }
+}
+
+/// Builds the shared golden artifacts of a circuit, exiting with an error
+/// (like the other argument helpers) if it fails its consistency check.
+pub fn artifacts(net: Network) -> CircuitArtifacts {
+    CircuitArtifacts::build(net).unwrap_or_else(|e| exit_with_error(&e.to_string()))
 }
 
 /// Geometric mean (for the Table 4 summary row).
@@ -248,10 +255,13 @@ mod tests {
         let _ = geometric_mean(&[1.0, 0.0]);
     }
 
+    fn rca4() -> CircuitArtifacts {
+        CircuitArtifacts::build(ripple_carry_adder(4)).unwrap()
+    }
+
     #[test]
     fn run_one_produces_consistent_ratios() {
-        let net = ripple_carry_adder(4);
-        let r = run_one("RCA4", &net, Algorithm::MultiSelection, 0.05, true, 1);
+        let r = run_one("RCA4", &rca4(), Algorithm::MultiSelection, 0.05, true, 1);
         assert!(r.literal_ratio <= 1.0);
         assert!(r.area_ratio <= 1.05);
         assert!(r.error_rate <= 0.05 + 1e-12);
@@ -269,8 +279,7 @@ mod tests {
 
     #[test]
     fn run_one_populates_metrics() {
-        let net = ripple_carry_adder(4);
-        let r = run_one("RCA4", &net, Algorithm::SingleSelection, 0.05, true, 1);
+        let r = run_one("RCA4", &rca4(), Algorithm::SingleSelection, 0.05, true, 1);
         assert!(r.metrics.simulations > 0);
         assert!(r.metrics.measurements > 0);
         assert_eq!(r.metrics.algorithm, "single-selection");

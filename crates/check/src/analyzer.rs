@@ -9,11 +9,12 @@
 //! with an info line saying so.
 
 use crate::diagnostic::{AnalysisReport, Diagnostic};
+use crate::miter::{encode_network, StructTable};
 use als_absint::{signal_probabilities_seeded, Interval, Policy};
 use als_bdd::{Bdd, BddError, BddManager};
-use als_dontcare::{compute_dont_cares, encode_node_cnf, DontCareConfig};
+use als_dontcare::{compute_dont_cares, DontCareConfig};
 use als_logic::Expr;
-use als_network::{Network, NodeId, NodeKind};
+use als_network::{Network, NodeId};
 use als_sat::{Lit, SatResult, Solver, Var};
 use als_sim::{local_pattern_counts, simulate, PatternSet, MAX_LOCAL_FANINS};
 use std::collections::HashMap;
@@ -638,18 +639,8 @@ fn check_sat_sweep(net: &Network, config: &AnalyzerConfig, report: &mut Analysis
     // One persistent solver holds the whole network's CNF; the per-pair
     // miter constraint is the only retractable part.
     let mut solver = Solver::new();
-    let mut vars: HashMap<NodeId, Var> = HashMap::new();
-    for &pi in net.pis() {
-        vars.insert(pi, solver.new_var());
-    }
-    for id in net.topo_order() {
-        if net.node(id).kind() != NodeKind::Internal {
-            continue;
-        }
-        let v = solver.new_var();
-        encode_node_cnf(&mut solver, net, id, &vars, v);
-        vars.insert(id, v);
-    }
+    let pis: Vec<Var> = net.pis().iter().map(|_| solver.new_var()).collect();
+    let vars = encode_network(&mut solver, net, &pis, &mut StructTable::new());
 
     let mut budget = config.sweep_max_pairs;
     for key in &key_order {

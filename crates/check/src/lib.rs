@@ -1,6 +1,6 @@
 //! Static analysis and certification for the ALS stack.
 //!
-//! Two analyzer families live here:
+//! Three tool families live here:
 //!
 //! * **Structural analysis** ([`NetworkAnalyzer`]): a configurable pass list
 //!   over any [`Network`](als_network::Network) — reference/arity
@@ -22,6 +22,8 @@
 //!   engine ([`CheckEngine`]): BDD miter density, #SAT disjoint-cube
 //!   enumeration ([`exact_error_rate_sat`]), or automatic fallback from
 //!   BDD to SAT when the node limit trips.
+//! * **Equivalence checking** ([`cec`]): a SAT query on the same
+//!   structurally hashed two-network miter the #SAT engine counts over.
 //!
 //! The analyzer **never panics** on malformed networks: that is the point.
 //! Tooling (the `als check` CLI subcommand, CI mutation tests) relies on
@@ -49,10 +51,12 @@ mod analyzer;
 mod audit;
 mod certificate;
 mod diagnostic;
+mod miter;
 mod satcount;
 
 pub use analyzer::{AnalyzerConfig, NetworkAnalyzer, Pass};
 pub use audit::{audit_certificates, AuditConfig, CheckEngine};
 pub use certificate::{ApproxCertificate, CertificateError, CertificateLog, IterationCert};
 pub use diagnostic::{AnalysisReport, Diagnostic, Severity};
+pub use miter::{cec, CecResult};
 pub use satcount::{exact_error_rate_sat, SatCountError, SatErrorRate};

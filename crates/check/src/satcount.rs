@@ -1,7 +1,7 @@
 //! #SAT exact error-rate certification — the SAT-engine alternative to
 //! [`als_bdd::exact_error_rate`].
 //!
-//! Builds a miter between the golden and approximate networks in one
+//! Builds a [`Miter`] between the golden and approximate networks in one
 //! incremental solver — with **structural hashing** across the two copies,
 //! so any cone the approximation left untouched is encoded once and shared,
 //! and output pairs that collapse to the same solver variable are provably
@@ -26,19 +26,9 @@
 //! `2^-fixed` in `f64`, exact per term and within `cubes · ulp` overall —
 //! far below the auditor's `1e-9` tolerance for any feasible cube count.
 
-use als_dontcare::encode_node_cnf;
-use als_logic::Cover;
-use als_network::{Network, NodeId, NodeKind};
-use als_sat::{Lit, SatResult, Solver, Var};
-use std::collections::HashMap;
-
-/// Structural-hashing table shared across the two network encodings in one
-/// solver: `(fanin variables in order, cover)` → the variable already
-/// encoding that function. Two nodes with equal keys compute the same
-/// function of the same solver variables, so reusing the variable is sound
-/// and turns the near-identical approximate copy into a thin overlay on the
-/// golden encoding.
-type StructTable = HashMap<(Vec<Var>, Cover), Var>;
+use crate::miter::Miter;
+use als_network::Network;
+use als_sat::{Lit, SatResult, Solver};
 
 /// Early-cutoff slack against a claimed rate: the enumeration stops as
 /// soon as the accumulated rate provably exceeds `claimed + CUTOFF_TOL`.
@@ -118,58 +108,6 @@ impl MintermCount {
     }
 }
 
-/// Tseitin-encodes every internal node of `net` over the shared
-/// primary-input variables `pis`, returning one solver variable per
-/// primary output in PO order. Nodes whose `(fanin vars, cover)` key is
-/// already in `table` reuse the existing variable instead of re-encoding,
-/// so the second network encoded against the same table shares every cone
-/// the approximation did not touch.
-///
-/// # Panics
-///
-/// Panics if `net` fails its structural invariants (dead PO driver,
-/// unencoded fanin); callers audit structurally checked networks.
-fn encode_outputs(
-    solver: &mut Solver,
-    net: &Network,
-    pis: &[Var],
-    table: &mut StructTable,
-) -> Vec<Var> {
-    let mut vars: HashMap<NodeId, Var> = HashMap::new();
-    for (&node, &var) in net.pis().iter().zip(pis) {
-        vars.insert(node, var);
-    }
-    for id in net.topo_order() {
-        if net.node(id).kind() != NodeKind::Internal {
-            continue;
-        }
-        let node = net.node(id);
-        let fanin_vars: Vec<Var> = node
-            .fanins()
-            .iter()
-            .map(|f| {
-                *vars.get(f).expect("fanin encoded before its consumer") // lint:allow(panic): topo-order invariant
-            })
-            .collect();
-        let key = (fanin_vars, node.cover().clone());
-        let v = if let Some(&shared) = table.get(&key) {
-            shared
-        } else {
-            let v = solver.new_var();
-            encode_node_cnf(solver, net, id, &vars, v);
-            table.insert(key, v);
-            v
-        };
-        vars.insert(id, v);
-    }
-    net.pos()
-        .iter()
-        .map(|(_, d)| {
-            *vars.get(d).expect("PO driven by a live encoded node") // lint:allow(panic): structural invariant; message states it
-        })
-        .collect()
-}
-
 /// The **exact** error rate between two networks by projected model
 /// counting: the density of the miter `∨ᵢ (fᵢ ⊕ f'ᵢ)` over all
 /// `2^num_pis` input vectors, enumerated as at most `max_cubes` disjoint
@@ -200,22 +138,9 @@ pub fn exact_error_rate_sat(
     // Output pairs sharing a variable after structural hashing are
     // provably equal and contribute no difference literal.
     let mut primary = Solver::new();
-    let mut p_table = StructTable::new();
-    let p_pis: Vec<Var> = (0..n).map(|_| primary.new_var()).collect();
-    let pg = encode_outputs(&mut primary, golden, &p_pis, &mut p_table);
-    let pa = encode_outputs(&mut primary, approx, &p_pis, &mut p_table);
-    let mut any: Vec<Lit> = Vec::with_capacity(pg.len());
-    for (&g, &a) in pg.iter().zip(&pa) {
-        if g == a {
-            continue;
-        }
-        let d = Lit::pos(primary.new_var());
-        // d → (g ⊕ a); the reverse direction is unnecessary under a
-        // positive disjunction over the d's.
-        primary.add_clause(&[!d, Lit::pos(g), Lit::pos(a)]);
-        primary.add_clause(&[!d, Lit::neg(g), Lit::neg(a)]);
-        any.push(d);
-    }
+    let miter = Miter::build(&mut primary, golden, approx);
+    let any = miter.difference_lits(&mut primary);
+    let p_pis = miter.pis;
     if any.is_empty() {
         // Every output cone hashed to the same variable: the networks are
         // structurally identical up to node naming, hence equivalent.
@@ -232,15 +157,9 @@ pub fn exact_error_rate_sat(
     // one-directional: `eq` forces the (non-shared) outputs equal, later
     // ones force membership in an already-counted cube.
     let mut secondary = Solver::new();
-    let mut s_table = StructTable::new();
-    let s_pis: Vec<Var> = (0..n).map(|_| secondary.new_var()).collect();
-    let sg = encode_outputs(&mut secondary, golden, &s_pis, &mut s_table);
-    let sa = encode_outputs(&mut secondary, approx, &s_pis, &mut s_table);
+    let Miter { pis: s_pis, pairs } = Miter::build(&mut secondary, golden, approx);
     let eq = Lit::pos(secondary.new_var());
-    for (&g, &a) in sg.iter().zip(&sa) {
-        if g == a {
-            continue;
-        }
+    for (g, a) in pairs {
         secondary.add_clause(&[!eq, Lit::neg(g), Lit::pos(a)]);
         secondary.add_clause(&[!eq, Lit::pos(g), Lit::neg(a)]);
     }
@@ -329,6 +248,7 @@ pub fn exact_error_rate_sat(
 mod tests {
     use super::*;
     use als_logic::{Cover, Cube};
+    use als_network::NodeId;
 
     fn cube(lits: &[(usize, bool)]) -> Cube {
         Cube::from_literals(lits).unwrap()

@@ -98,9 +98,9 @@ pub fn approximate_under(
 }
 
 /// [`approximate`] with a caller-supplied [`AlsContext`] — the
-/// artifact-sharing entry point. The sweep orchestrator and the `als serve`
-/// daemon's cross-job cache build one context per (pattern budget, seed) and
-/// hand every run a clone, amortizing the golden simulation.
+/// artifact-sharing entry point. [`CircuitArtifacts::context`](crate::CircuitArtifacts::context)
+/// builds one context per (pattern budget, seed) and hands every run a
+/// clone, amortizing the golden simulation.
 ///
 /// **Byte-identity contract:** when `ctx` carries the stimulus
 /// [`approximate`] would draw itself —

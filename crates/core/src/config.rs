@@ -2,6 +2,8 @@ use crate::{AlsError, CancelToken};
 use als_dontcare::DontCareConfig;
 use als_sim::{DEFAULT_NUM_PATTERNS, MAX_LOCAL_FANINS};
 use als_telemetry::Telemetry;
+use std::fmt;
+use std::str::FromStr;
 
 /// How the engine refreshes signatures after an applied change.
 ///
@@ -155,6 +157,42 @@ impl Default for PatternPolicy {
     /// The paper's fixed 10 000-vector scheme (rounded to 10 048).
     fn default() -> Self {
         PatternPolicy::Fixed(DEFAULT_NUM_PATTERNS)
+    }
+}
+
+/// The spec syntax shared by the CLI, the serve protocol and sweep records:
+/// `fixed:N` or `adaptive:MIN..MAX`.
+impl fmt::Display for PatternPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PatternPolicy::Fixed(n) => write!(f, "fixed:{n}"),
+            PatternPolicy::Adaptive { min, max } => write!(f, "adaptive:{min}..{max}"),
+        }
+    }
+}
+
+/// Parses a policy spec: `fixed:N`, `adaptive:MIN..MAX`, or a bare count `N`
+/// (shorthand for `fixed:N`). Errors are plain descriptions for the caller
+/// to wrap.
+impl FromStr for PatternPolicy {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        if let Some(n) = spec.strip_prefix("fixed:") {
+            let n = n.parse().map_err(|e| format!("fixed count: {e}"))?;
+            return Ok(PatternPolicy::Fixed(n));
+        }
+        if let Some(range) = spec.strip_prefix("adaptive:") {
+            let (min, max) = range
+                .split_once("..")
+                .ok_or_else(|| String::from("adaptive policy wants MIN..MAX"))?;
+            let min = min.parse().map_err(|e| format!("adaptive MIN: {e}"))?;
+            let max = max.parse().map_err(|e| format!("adaptive MAX: {e}"))?;
+            return Ok(PatternPolicy::Adaptive { min, max });
+        }
+        spec.parse()
+            .map(PatternPolicy::Fixed)
+            .map_err(|e| format!("pattern count: {e}"))
     }
 }
 
@@ -401,12 +439,6 @@ impl AlsConfigBuilder {
         self
     }
 
-    /// Sets a fixed number of random simulation vectors per run.
-    #[deprecated(note = "use `patterns(PatternPolicy::Fixed(n))` instead")]
-    pub fn num_patterns(self, num_patterns: usize) -> Self {
-        self.patterns(PatternPolicy::Fixed(num_patterns))
-    }
-
     /// Sets the stimulus seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -488,17 +520,6 @@ impl AlsConfigBuilder {
         self
     }
 
-    /// Forces a full resimulation after every applied change instead of the
-    /// incremental dirty-set update.
-    #[deprecated(note = "use `resim(ResimMode::Full)` / `resim(ResimMode::Incremental)` instead")]
-    pub fn full_resim(self, on: bool) -> Self {
-        self.resim(if on {
-            ResimMode::Full
-        } else {
-            ResimMode::Incremental
-        })
-    }
-
     /// Sets the static candidate-pruning policy (on by default;
     /// semantics-preserving either way).
     pub fn pruning(mut self, pruning: PrunePolicy) -> Self {
@@ -511,16 +532,6 @@ impl AlsConfigBuilder {
     pub fn delay_weight(mut self, delay_weight: DelayWeight) -> Self {
         self.config.delay_weight = delay_weight;
         self
-    }
-
-    /// Enables or disables static candidate pruning.
-    #[deprecated(note = "use `pruning(PrunePolicy::Static)` / `pruning(PrunePolicy::Off)` instead")]
-    pub fn prune(self, on: bool) -> Self {
-        self.pruning(if on {
-            PrunePolicy::Static
-        } else {
-            PrunePolicy::Off
-        })
     }
 
     /// Attaches telemetry sinks — engine counters, phase timings and
@@ -670,28 +681,24 @@ mod tests {
         assert_eq!(c.delay_weight, DelayWeight::Scaled(2.0));
     }
 
-    /// The deprecated PR 1–5 setters must keep compiling and forward to the
-    /// typed policies exactly.
+    /// The spec syntax round-trips through `Display`/`FromStr`, and a bare
+    /// count is shorthand for a fixed budget.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_the_policies() {
-        let c = AlsConfig::builder()
-            .num_patterns(2048)
-            .full_resim(true)
-            .prune(false)
-            .build()
-            .unwrap();
-        assert_eq!(c.patterns, PatternPolicy::Fixed(2048));
-        assert_eq!(c.resim, ResimMode::Full);
-        assert_eq!(c.pruning, PrunePolicy::Off);
-        let c = AlsConfig::builder()
-            .full_resim(false)
-            .prune(true)
-            .build()
-            .unwrap();
-        assert_eq!(c.resim, ResimMode::Incremental);
-        assert_eq!(c.pruning, PrunePolicy::Static);
-        let err = AlsConfig::builder().num_patterns(0).build().unwrap_err();
-        assert!(matches!(err, AlsError::InvalidConfig(ref m) if m.contains("num_patterns")));
+    fn pattern_specs_round_trip() {
+        let adaptive = PatternPolicy::Adaptive { min: 64, max: 512 };
+        for (spec, policy) in [
+            ("fixed:512", PatternPolicy::Fixed(512)),
+            ("adaptive:64..512", adaptive),
+        ] {
+            assert_eq!(spec.parse::<PatternPolicy>(), Ok(policy));
+            assert_eq!(policy.to_string(), spec);
+        }
+        assert_eq!(
+            "256".parse::<PatternPolicy>(),
+            Ok(PatternPolicy::Fixed(256))
+        );
+        let err = |spec: &str| spec.parse::<PatternPolicy>().unwrap_err();
+        assert!(err("adaptive:64").contains("MIN..MAX"));
+        assert!(err("several").contains("pattern count"));
     }
 }

@@ -56,6 +56,7 @@
 #![deny(missing_debug_implementations)]
 
 mod api;
+mod artifacts;
 mod ase;
 mod cancel;
 mod config;
@@ -75,6 +76,7 @@ pub mod sasimi;
 pub mod sweep;
 
 pub use api::{approximate, approximate_under, approximate_with_context, Strategy};
+pub use artifacts::CircuitArtifacts;
 pub use ase::{generate_ases, Ase, AseKind};
 pub use cancel::CancelToken;
 pub use config::{

@@ -349,3 +349,125 @@ fn apply(net: &mut Network, cand: &Candidate) -> String {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use als_sim::{error_rate, PatternSet};
+
+    fn cube(lits: &[(usize, bool)]) -> Cube {
+        Cube::from_literals(lits).unwrap()
+    }
+
+    /// Two signals that agree on 7 of 8 patterns: `ab` vs `ab + a'b'c`.
+    fn near_duplicate_net() -> Network {
+        let mut net = Network::new("near");
+        let a = net.add_pi("a");
+        let b = net.add_pi("b");
+        let c = net.add_pi("c");
+        let g1 = net.add_node(
+            "g1",
+            vec![a, b],
+            Cover::from_cubes(2, [cube(&[(0, true), (1, true)])]),
+        );
+        let g2 = net.add_node(
+            "g2",
+            vec![a, b, c],
+            Cover::from_cubes(
+                3,
+                [
+                    cube(&[(0, true), (1, true)]),
+                    cube(&[(0, false), (1, false), (2, true)]),
+                ],
+            ),
+        );
+        net.add_po("y1", g1);
+        net.add_po("y2", g2);
+        net
+    }
+
+    #[test]
+    fn substitutes_near_identical_signals() {
+        let net = near_duplicate_net();
+        // g2 differs from g1 on 1/8 of inputs (a'b'c); a 20% budget allows
+        // replacing g2 by g1.
+        let out = sasimi(&net, &AlsConfig::with_threshold(0.20));
+        assert!(out.measured_error_rate <= 0.20 + 1e-12);
+        assert!(
+            out.final_literals < out.initial_literals,
+            "{} -> {}",
+            out.initial_literals,
+            out.final_literals
+        );
+        let p = PatternSet::exhaustive(3).unwrap();
+        let er = error_rate(&net, &out.network, &p);
+        assert!(er <= 0.20, "true error {er}");
+    }
+
+    #[test]
+    fn tight_budget_blocks_substitution() {
+        let net = near_duplicate_net();
+        // The only non-trivial substitution costs 12.5% error.
+        let out = sasimi(&net, &AlsConfig::with_threshold(0.01));
+        assert_eq!(out.final_literals, out.initial_literals);
+        assert_eq!(out.measured_error_rate, 0.0);
+    }
+
+    #[test]
+    fn exact_duplicates_are_free() {
+        let mut net = Network::new("dup");
+        let a = net.add_pi("a");
+        let b = net.add_pi("b");
+        let g1 = net.add_node(
+            "g1",
+            vec![a, b],
+            Cover::from_cubes(2, [cube(&[(0, true), (1, true)])]),
+        );
+        let g2 = net.add_node(
+            "g2",
+            vec![b, a],
+            Cover::from_cubes(2, [cube(&[(0, true), (1, true)])]),
+        );
+        net.add_po("y1", g1);
+        net.add_po("y2", g2);
+        let out = sasimi(&net, &AlsConfig::with_threshold(0.0));
+        assert_eq!(out.measured_error_rate, 0.0);
+        assert!(out.final_literals < out.initial_literals);
+    }
+
+    #[test]
+    fn inverted_substitution_found() {
+        // g2 = NOT g1 exactly: substitution with an inverter saves literals.
+        let mut net = Network::new("inv");
+        let a = net.add_pi("a");
+        let b = net.add_pi("b");
+        let g1 = net.add_node(
+            "g1",
+            vec![a, b],
+            Cover::from_cubes(2, [cube(&[(0, true), (1, true)])]),
+        );
+        // g2 = (ab)' as a 2-cube SOP: a' + b'.
+        let g2 = net.add_node(
+            "g2",
+            vec![a, b],
+            Cover::from_cubes(2, [cube(&[(0, false)]), cube(&[(1, false)])]),
+        );
+        net.add_po("y1", g1);
+        net.add_po("y2", g2);
+        let out = sasimi(&net, &AlsConfig::with_threshold(0.0));
+        assert_eq!(out.measured_error_rate, 0.0);
+        // g2 (2 literals) becomes one inverter on g1 (1 literal).
+        assert!(out.final_literals < out.initial_literals);
+    }
+
+    #[test]
+    fn respects_threshold_on_arithmetic() {
+        use als_circuits::adders::ripple_carry_adder;
+        let net = ripple_carry_adder(4);
+        let out = sasimi(&net, &AlsConfig::with_threshold(0.05));
+        assert!(out.measured_error_rate <= 0.05 + 1e-12);
+        let p = PatternSet::exhaustive(8).unwrap();
+        let er = error_rate(&net, &out.network, &p);
+        assert!(er <= 0.08, "true error {er}");
+    }
+}

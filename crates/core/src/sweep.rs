@@ -6,10 +6,11 @@
 //! area/delay/error **Pareto frontier** instead of a single operating
 //! point:
 //!
-//! * shared artifacts are computed once per sweep: the golden network's
-//!   mapped area and critical-path delay, its static signal-probability
-//!   intervals (the abstract interpreter's summary, embedded as record
-//!   metadata), and one simulated [`AlsContext`] per distinct pattern
+//! * shared artifacts are computed once per sweep as one
+//!   [`CircuitArtifacts`] bundle: the golden network's mapped area and
+//!   critical-path delay, its static signal-probability intervals (the
+//!   abstract interpreter's summary, embedded as record metadata), and one
+//!   simulated [`AlsContext`](crate::AlsContext) per distinct pattern
 //!   budget (the golden signatures are the expensive part; grid jobs get
 //!   clones);
 //! * grid points run as parallel jobs over a work-stealing queue with
@@ -27,11 +28,10 @@
 //! turning dominated by the baseline frontier is a regression.
 
 use crate::api;
-use crate::{AlsConfig, AlsContext, AlsError, DelayWeight, PatternPolicy, Strategy};
+use crate::{AlsConfig, AlsError, CircuitArtifacts, DelayWeight, PatternPolicy, Strategy};
 use als_mapper::{map_network, Library};
 use als_network::Network;
 use als_telemetry::{Event, Json, Telemetry};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -389,15 +389,6 @@ impl SweepRecord {
     }
 }
 
-/// The spec string for a pattern policy (`fixed:N` / `adaptive:MIN..MAX`).
-#[must_use]
-pub fn pattern_spec(policy: PatternPolicy) -> String {
-    match policy {
-        PatternPolicy::Fixed(n) => format!("fixed:{n}"),
-        PatternPolicy::Adaptive { min, max } => format!("adaptive:{min}..{max}"),
-    }
-}
-
 /// The spec string for a delay-weight policy (`off` / `scaled:W`).
 #[must_use]
 pub fn delay_weight_spec(policy: DelayWeight) -> String {
@@ -462,9 +453,7 @@ pub fn run_sweep(
     grid: &SweepGrid,
     base: &AlsConfig,
 ) -> Result<SweepRecord, AlsError> {
-    golden
-        .check()
-        .map_err(|e| AlsError::InvalidNetwork(e.to_string()))?;
+    let arts = CircuitArtifacts::build(golden.clone())?;
     if grid.num_points() == 0 {
         return Err(AlsError::InvalidConfig(
             "sweep grid is empty (needs ≥ 1 threshold, strategy and pattern policy)".into(),
@@ -492,29 +481,10 @@ pub fn run_sweep(
             }
         }
     }
-
-    // Shared artifacts, computed once: the golden mapping, the abstract
-    // interpreter's static summary, and one simulated context per distinct
-    // pattern budget.
-    let lib = Library::mcnc_like();
-    let golden_mapped = map_network(golden, &lib);
-    let golden_area = golden_mapped.area();
-    let golden_delay = golden_mapped.delay();
-    let golden_literals = golden.literal_count() as u64; // lint:allow(as-cast): usize fits u64 on all supported targets
-    let probs = als_absint::signal_probabilities(golden, als_absint::Policy::Exact);
-    let absint_max_po_width = golden
-        .pos()
-        .iter()
-        .map(|(_, driver)| {
-            let i = probs.interval(*driver);
-            i.hi - i.lo
-        })
-        .fold(0.0, f64::max);
-    let mut contexts: BTreeMap<usize, AlsContext> = BTreeMap::new();
+    // Simulate the golden network once per distinct stimulus before
+    // dispatch, so no grid point's runtime pays for it.
     for config in &configs {
-        contexts
-            .entry(config.pattern_budget())
-            .or_insert_with(|| AlsContext::new(golden, config));
+        arts.context(config);
     }
 
     let workers = crate::engine::resolve_threads(grid.sweep_workers).min(points.len());
@@ -524,10 +494,11 @@ pub fn run_sweep(
     });
 
     // Evaluate one grid point: synthesize, technology-map, record.
+    let lib = Library::mcnc_like();
     let run_point = |i: usize| -> SweepPoint {
         let config = &configs[i];
         let point = points[i];
-        let ctx = contexts[&config.pattern_budget()].clone();
+        let (ctx, _) = arts.context(config);
         // lint:allow(nondeterminism): feeds the point's runtime_s record only, excluded from the fingerprint
         let start = Instant::now();
         let outcome = api::run(golden, point.strategy, config, ctx);
@@ -536,19 +507,19 @@ pub fn run_sweep(
         SweepPoint {
             algorithm: strategy_name(point.strategy).to_string(),
             threshold: point.threshold,
-            patterns: pattern_spec(point.patterns),
+            patterns: point.patterns.to_string(),
             delay_weight: delay_weight_spec(grid.delay_weight),
             literals,
             literal_ratio: outcome.literal_ratio(),
             area: mapped.area(),
-            area_ratio: if golden_area > 0.0 {
-                mapped.area() / golden_area
+            area_ratio: if arts.golden_area > 0.0 {
+                mapped.area() / arts.golden_area
             } else {
                 1.0
             },
             delay: mapped.delay(),
-            delay_ratio: if golden_delay > 0.0 {
-                mapped.delay() / golden_delay
+            delay_ratio: if arts.golden_delay > 0.0 {
+                mapped.delay() / arts.golden_delay
             } else {
                 1.0
             },
@@ -618,11 +589,11 @@ pub fn run_sweep(
         quick: grid.quick,
         sweep_workers: grid.sweep_workers,
         notes: String::new(),
-        golden_literals,
-        golden_area,
-        golden_delay,
-        absint_frechet_nodes: probs.frechet_count() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-        absint_max_po_width,
+        golden_literals: arts.golden_literals,
+        golden_area: arts.golden_area,
+        golden_delay: arts.golden_delay,
+        absint_frechet_nodes: arts.absint_frechet_nodes,
+        absint_max_po_width: arts.absint_max_po_width,
         points: evaluated,
     })
 }
@@ -730,11 +701,6 @@ mod tests {
 
     #[test]
     fn specs_are_stable() {
-        assert_eq!(pattern_spec(PatternPolicy::Fixed(512)), "fixed:512");
-        assert_eq!(
-            pattern_spec(PatternPolicy::Adaptive { min: 64, max: 512 }),
-            "adaptive:64..512"
-        );
         assert_eq!(delay_weight_spec(DelayWeight::Off), "off");
         assert_eq!(delay_weight_spec(DelayWeight::Scaled(1.5)), "scaled:1.5");
         assert_eq!(strategy_name(Strategy::Single), "single-selection");

@@ -1,6 +1,5 @@
 //! `als-lint` — the workspace static-analysis CLI. All logic lives in the
-//! library (`als_lint::cli_main`) so the deprecated `als-bench --bin lint`
-//! shim can share it.
+//! library (`als_lint::cli_main`).
 
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -56,11 +56,10 @@ struct Cli {
     list_passes: bool,
 }
 
-/// The full CLI, shared by the `als-lint` binary and the deprecated
-/// `als-bench --bin lint` shim. Returns the process exit code; the JSON
-/// report goes to stdout and everything human-facing to stderr, so
-/// `als-lint --json > report.json` captures a well-formed document even
-/// when the run fails.
+/// The full CLI behind the `als-lint` binary. Returns the process exit
+/// code; the JSON report goes to stdout and everything human-facing to
+/// stderr, so `als-lint --json > report.json` captures a well-formed
+/// document even when the run fails.
 pub fn cli_main(args: &[String]) -> u8 {
     let cli = match parse_args(args) {
         Ok(cli) => cli,

@@ -1,30 +1,20 @@
 //! The cross-job artifact cache — the heart of the daemon.
 //!
-//! Every synthesis job needs the same expensive prologue: parse (or
-//! generate) the circuit, technology-map it for the golden area/delay
-//! headline, run the abstract interpreter's signal-probability pass, and
-//! simulate the golden network once per (pattern budget, seed) to freeze
-//! the reference signatures. `als sweep` already amortizes that prologue
-//! *within* one process invocation; this cache amortizes it *across*
-//! requests: entries are keyed by circuit content hash
-//! ([`CircuitSource::cache_key`]), so a repeated request for the same
-//! circuit at a new threshold skips the parse, mapping, absint and
-//! golden-simulation phases entirely and goes straight to the selection
-//! loop.
-//!
-//! Byte-identity is preserved by construction: a cached [`AlsContext`] is
-//! exactly the `AlsContext::with_patterns` result `AlsContext::new` would
-//! build for the same `(PI count, pattern budget, seed)` triple, and each
-//! job re-attaches its own telemetry handle and sampling policy to a clone
-//! (see `als_core::approximate_with_context`), so warm results are
-//! bit-for-bit the results a cold single-shot `approximate()` would
-//! return.
+//! Every synthesis job needs the same expensive prologue, packaged as
+//! [`CircuitArtifacts`]: parse (or generate) the circuit, technology-map it
+//! for the golden area/delay headline, run the abstract interpreter's
+//! signal-probability pass, and simulate the golden network once per
+//! (pattern budget, seed). `als sweep` amortizes that bundle *within* one
+//! process invocation; this cache amortizes it *across* requests: entries
+//! are keyed by circuit content hash ([`CircuitSource::cache_key`]), so a
+//! repeated request for the same circuit at a new threshold skips the
+//! parse, mapping, absint and golden-simulation phases entirely and goes
+//! straight to the selection loop — with results bit-for-bit those of a
+//! cold single-shot `approximate()` (see [`CircuitArtifacts`]).
 
 use crate::protocol::{CircuitSource, ErrorCode, ProtocolError};
-use als_core::{AlsConfig, AlsContext};
-use als_mapper::{map_network, DelayMap, Library};
+use als_core::{AlsError, CircuitArtifacts};
 use als_network::{blif, Network};
-use als_sim::PatternSet;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -32,92 +22,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Wire names of the artifacts the cache amortizes, as reported in
 /// `artifact_cache` telemetry events and result-frame `"cache"` objects.
 pub const ARTIFACT_KINDS: [&str; 4] = ["network", "signatures", "absint", "delay_map"];
-
-/// Everything the daemon derives from one circuit, shared across jobs.
-#[derive(Debug)]
-pub struct CircuitArtifacts {
-    /// The parsed (and consistency-checked) network.
-    pub network: Arc<Network>,
-    /// Golden literal count.
-    pub golden_literals: u64,
-    /// Golden mapped area (MCNC-like library).
-    pub golden_area: f64,
-    /// Golden mapped critical-path delay.
-    pub golden_delay: f64,
-    /// The golden network's topological delay map (arrival times and
-    /// criticalities), kept for delay-aware scoring and diagnostics.
-    pub delay_map: DelayMap,
-    /// Nodes the abstract interpreter forced to worst-case Fréchet bounds
-    /// (reconvergent fanout).
-    pub absint_frechet_nodes: u64,
-    /// Widest golden PO signal-probability interval.
-    pub absint_max_po_width: f64,
-    /// Golden-simulation contexts, one per (pattern budget, seed). Built
-    /// under the lock so concurrent first requests for the same stimulus
-    /// simulate the golden network once, not twice.
-    contexts: Mutex<BTreeMap<(usize, u64), AlsContext>>,
-}
-
-impl CircuitArtifacts {
-    /// Builds the circuit-level artifacts: mapping, delay map, absint
-    /// summary. The golden-simulation contexts are filled lazily by
-    /// [`CircuitArtifacts::context`].
-    fn build(network: Network) -> CircuitArtifacts {
-        let lib = Library::mcnc_like();
-        let mapped = map_network(&network, &lib);
-        let delay_map = DelayMap::build(&network, &lib);
-        let probs = als_absint::signal_probabilities(&network, als_absint::Policy::Exact);
-        let absint_max_po_width = network
-            .pos()
-            .iter()
-            .map(|(_, driver)| {
-                let i = probs.interval(*driver);
-                i.hi - i.lo
-            })
-            .fold(0.0, f64::max);
-        CircuitArtifacts {
-            golden_literals: network.literal_count() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-            golden_area: mapped.area(),
-            golden_delay: mapped.delay(),
-            delay_map,
-            absint_frechet_nodes: probs.frechet_count() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-            absint_max_po_width,
-            network: Arc::new(network),
-            contexts: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// A golden-simulation context for the config's (pattern budget, seed),
-    /// with the config's telemetry and sampling policy attached — ready to
-    /// hand to `approximate_with_context`. Returns whether the context was
-    /// served from the cache (`true`) or simulated fresh (`false`).
-    pub fn context(&self, config: &AlsConfig) -> (AlsContext, bool) {
-        let key = (config.pattern_budget(), config.seed);
-        let mut contexts = self.contexts.lock().unwrap_or_else(PoisonError::into_inner);
-        let (ctx, hit) = if let Some(ctx) = contexts.get(&key) {
-            (ctx.clone(), true)
-        } else {
-            let patterns = PatternSet::random(self.network.num_pis(), key.0, key.1);
-            let ctx = AlsContext::with_patterns(&self.network, patterns);
-            contexts.insert(key, ctx.clone());
-            (ctx, false)
-        };
-        drop(contexts);
-        (
-            ctx.with_telemetry(config.telemetry.clone())
-                .with_sampling(config),
-            hit,
-        )
-    }
-
-    /// Golden-simulation contexts currently cached for this circuit.
-    pub fn num_contexts(&self) -> usize {
-        self.contexts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-}
 
 /// The FIFO-evicting cross-job cache, keyed by circuit content hash.
 ///
@@ -172,8 +76,15 @@ impl ArtifactCache {
                 .fetch_add(CIRCUIT_LEVEL_ARTIFACTS, Ordering::Relaxed);
             return Ok((Arc::clone(arts), true));
         }
-        let network = resolve_network(source)?;
-        let arts = Arc::new(CircuitArtifacts::build(network));
+        let arts = Arc::new(CircuitArtifacts::build(resolve_network(source)?).map_err(
+            |e| match e {
+                AlsError::InvalidNetwork(m) => ProtocolError::new(
+                    ErrorCode::BadCircuit,
+                    format!("network fails its consistency check: {m}"),
+                ),
+                other => ProtocolError::new(ErrorCode::BadCircuit, other.to_string()),
+            },
+        )?);
         inner.entries.insert(key, Arc::clone(&arts));
         inner.order.push_back(key);
         while inner.order.len() > self.capacity {
@@ -221,29 +132,22 @@ impl ArtifactCache {
     }
 }
 
-/// Resolves a circuit source into a consistency-checked network.
+/// Resolves a circuit source into a network (checked by
+/// [`CircuitArtifacts::build`]).
 fn resolve_network(source: &CircuitSource) -> Result<Network, ProtocolError> {
-    let network = match source {
+    match source {
         CircuitSource::Blif(text) => blif::parse(text).map_err(|e| {
             ProtocolError::new(ErrorCode::BadCircuit, format!("BLIF parse error: {e}"))
-        })?,
-        CircuitSource::Bench(name) => {
-            let bench = als_circuits::registry::find_benchmark(name).ok_or_else(|| {
+        }),
+        CircuitSource::Bench(name) => als_circuits::registry::find_benchmark(name)
+            .map(|bench| (bench.build)())
+            .ok_or_else(|| {
                 ProtocolError::new(
                     ErrorCode::BadCircuit,
                     format!("unknown benchmark `{name}` (see `als list`)"),
                 )
-            })?;
-            (bench.build)()
-        }
-    };
-    network.check().map_err(|e| {
-        ProtocolError::new(
-            ErrorCode::BadCircuit,
-            format!("network fails its consistency check: {e}"),
-        )
-    })?;
-    Ok(network)
+            }),
+    }
 }
 
 #[cfg(test)]
@@ -265,51 +169,6 @@ mod tests {
         assert_eq!(cache.hits(), CIRCUIT_LEVEL_ARTIFACTS);
         assert_eq!(cache.misses(), CIRCUIT_LEVEL_ARTIFACTS);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn artifacts_carry_the_golden_summary() {
-        let cache = ArtifactCache::new(4);
-        let (arts, _) = cache.lookup(&bench("RCA32")).unwrap();
-        assert!(arts.golden_literals > 0);
-        assert!(arts.golden_area > 0.0);
-        assert!(arts.golden_delay > 0.0);
-        assert!(arts.delay_map.critical() > 0.0);
-        assert!(arts.absint_max_po_width >= 0.0);
-    }
-
-    #[test]
-    fn context_cache_is_keyed_by_budget_and_seed() {
-        let cache = ArtifactCache::new(4);
-        let (arts, _) = cache.lookup(&bench("RCA32")).unwrap();
-        let config_a = AlsConfig::builder()
-            .threshold(0.05)
-            .patterns(als_core::PatternPolicy::Fixed(256))
-            .seed(1)
-            .build()
-            .unwrap();
-        let (_, hit1) = arts.context(&config_a);
-        let (_, hit2) = arts.context(&config_a);
-        assert!(!hit1);
-        assert!(hit2);
-        let config_b = AlsConfig::builder()
-            .threshold(0.20)
-            .patterns(als_core::PatternPolicy::Fixed(256))
-            .seed(1)
-            .build()
-            .unwrap();
-        // A new threshold reuses the same stimulus entry.
-        let (_, hit3) = arts.context(&config_b);
-        assert!(hit3);
-        let config_c = AlsConfig::builder()
-            .threshold(0.05)
-            .patterns(als_core::PatternPolicy::Fixed(256))
-            .seed(2)
-            .build()
-            .unwrap();
-        let (_, hit4) = arts.context(&config_c);
-        assert!(!hit4);
-        assert_eq!(arts.num_contexts(), 2);
     }
 
     #[test]

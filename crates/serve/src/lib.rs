@@ -8,14 +8,15 @@
 //! each time. This crate packages the synthesis flow as a daemon
 //! (`als serve --listen ADDR`) so repeated requests amortize it:
 //!
-//! - **Protocol** ([`protocol`]): line-delimited JSON over TCP. Every frame
-//!   carries `"v":` [`PROTOCOL_VERSION`]; requests are `synthesize`,
-//!   `cancel`, `stats`, `ping`, `shutdown`, and responses are `accepted`,
-//!   `progress`, `result`, `stats`, `pong`, `bye`, or a typed `error`
-//!   frame ([`ErrorCode`]). The parser is total: arbitrary bytes produce a
-//!   structured error, never a panic.
-//! - **Artifact cache** ([`ArtifactCache`]): keyed by a content hash of the
-//!   circuit source. A hit skips parse + mapping + absint; golden
+//! - **Protocol** ([`parse_request`], [`frame`]): line-delimited JSON over
+//!   TCP. Every frame carries `"v":` [`PROTOCOL_VERSION`]; requests are
+//!   `synthesize`, `cancel`, `stats`, `ping`, `shutdown`, and responses are
+//!   `accepted`, `progress`, `result`, `stats`, `pong`, `bye`, or a typed
+//!   `error` frame ([`ErrorCode`]). The parser is total: arbitrary bytes
+//!   produce a structured error, never a panic.
+//! - **Artifact cache** ([`ArtifactCache`]): shared
+//!   `als_core::CircuitArtifacts` keyed by a content hash of the circuit
+//!   source. A hit skips parse + mapping + absint; golden
 //!   simulation signatures are cached one level deeper, per
 //!   `(pattern budget, seed)`, so a repeat request at a *new threshold*
 //!   skips every phase but the selection loop itself — and still returns
@@ -39,9 +40,9 @@ mod cache;
 mod protocol;
 mod server;
 
-pub use cache::{ArtifactCache, CircuitArtifacts, ARTIFACT_KINDS, CIRCUIT_LEVEL_ARTIFACTS};
+pub use cache::{ArtifactCache, ARTIFACT_KINDS, CIRCUIT_LEVEL_ARTIFACTS};
 pub use protocol::{
-    frame, parse_pattern_spec, parse_request, strategy_wire_name, CircuitSource, ErrorCode,
-    ProtocolError, Request, SynthesizeRequest, PROTOCOL_VERSION,
+    frame, parse_request, strategy_wire_name, CircuitSource, ErrorCode, ProtocolError, Request,
+    SynthesizeRequest, PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, Server, ServerHandle};

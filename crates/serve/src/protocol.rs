@@ -244,26 +244,6 @@ pub fn strategy_wire_name(strategy: Strategy) -> &'static str {
     }
 }
 
-/// Parses a `--patterns`-style policy spec: `fixed:N`, `adaptive:MIN..MAX`,
-/// or a bare count `N` (shorthand for `fixed:N`).
-pub fn parse_pattern_spec(spec: &str) -> Result<PatternPolicy, String> {
-    if let Some(n) = spec.strip_prefix("fixed:") {
-        let n = n.parse().map_err(|e| format!("fixed count: {e}"))?;
-        return Ok(PatternPolicy::Fixed(n));
-    }
-    if let Some(range) = spec.strip_prefix("adaptive:") {
-        let (min, max) = range
-            .split_once("..")
-            .ok_or_else(|| String::from("adaptive policy wants MIN..MAX"))?;
-        let min = min.parse().map_err(|e| format!("adaptive MIN: {e}"))?;
-        let max = max.parse().map_err(|e| format!("adaptive MAX: {e}"))?;
-        return Ok(PatternPolicy::Adaptive { min, max });
-    }
-    spec.parse()
-        .map(PatternPolicy::Fixed)
-        .map_err(|e| format!("pattern count: {e}"))
-}
-
 /// A fresh response frame skeleton: `{"v": 1, "type": <kind>}`.
 pub fn frame(kind: &str) -> Json {
     let mut obj = Json::object();
@@ -380,7 +360,8 @@ fn parse_synthesize(json: &Json, id: Option<String>) -> Result<SynthesizeRequest
     let patterns = match json.get("patterns").map(|v| (v, v.as_str())) {
         None => None,
         Some((_, Some(spec))) => Some(
-            parse_pattern_spec(spec).map_err(|e| fail(format!("bad \"patterns\" spec: {e}")))?,
+            spec.parse::<PatternPolicy>()
+                .map_err(|e| fail(format!("bad \"patterns\" spec: {e}")))?,
         ),
         Some((_, None)) => {
             return Err(fail(
@@ -542,23 +523,5 @@ mod tests {
             a.cache_key(),
             CircuitSource::Bench("CLA32".to_string()).cache_key()
         );
-    }
-
-    #[test]
-    fn pattern_specs_parse_like_the_cli() {
-        assert_eq!(
-            parse_pattern_spec("fixed:512").unwrap(),
-            PatternPolicy::Fixed(512)
-        );
-        assert_eq!(
-            parse_pattern_spec("adaptive:64..512").unwrap(),
-            PatternPolicy::Adaptive { min: 64, max: 512 }
-        );
-        assert_eq!(
-            parse_pattern_spec("256").unwrap(),
-            PatternPolicy::Fixed(256)
-        );
-        assert!(parse_pattern_spec("adaptive:64").is_err());
-        assert!(parse_pattern_spec("several").is_err());
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! Run with: `cargo run --release --example exact_verification`
 
-use als::aig::{cec, CecResult};
 use als::bdd::exact_error_rate;
+use als::check::{cec, CecResult};
 use als::circuits::kogge_stone_adder;
 use als::core::{multi_selection, AlsConfig};
 

@@ -30,7 +30,8 @@
 
 use als::absint::{error_bounds, signal_probabilities, Policy};
 use als::check::{
-    audit_certificates, AnalyzerConfig, AuditConfig, CertificateLog, CheckEngine, NetworkAnalyzer,
+    audit_certificates, cec, AnalyzerConfig, AuditConfig, CecResult, CertificateLog, CheckEngine,
+    NetworkAnalyzer,
 };
 use als::circuits::all_benchmarks;
 use als::circuits::registry::find_benchmark;
@@ -78,26 +79,30 @@ fn usage(message: impl Into<String>) -> CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("approximate") => cmd_approximate(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("bound") => cmd_bound(&args[1..]),
-        Some("map") => cmd_map(&args[1..]),
-        Some("verilog") => cmd_verilog(&args[1..]),
-        Some("cec") => cmd_cec(&args[1..]),
-        Some("simplify") => cmd_simplify(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (Some(cmd.as_str()), rest),
+        None => (None, &[][..]),
+    };
+    let result = positionals(cmd, rest).and_then(|_| match cmd {
+        Some("stats") => cmd_stats(rest),
+        Some("gen") => cmd_gen(rest),
+        Some("approximate") => cmd_approximate(rest),
+        Some("sweep") => cmd_sweep(rest),
+        Some("verify") => cmd_verify(rest),
+        Some("check") => cmd_check(rest),
+        Some("bound") => cmd_bound(rest),
+        Some("map") => cmd_map(rest),
+        Some("verilog") => cmd_verilog(rest),
+        Some("cec") => cmd_cec(rest),
+        Some("simplify") => cmd_simplify(rest),
+        Some("serve") => cmd_serve(rest),
         Some("list") => cmd_list(),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(usage(format!("unknown command `{other}`\n\n{USAGE}"))),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError { code, message }) => {
@@ -105,6 +110,51 @@ fn main() -> ExitCode {
             ExitCode::from(code)
         }
     }
+}
+
+/// The flags each subcommand accepts, space-separated; a trailing `=` marks
+/// a flag that takes a value.
+const FLAGS: &[(&str, &str)] = &[
+    ("stats", ""),
+    ("gen", "-o= --output="),
+    ("approximate", "--threshold= --algorithm= -o= --output= --seed= --threads= --patterns= --resim= --events= --no-cache --no-dontcares --verbose --metrics"),
+    ("sweep", "--thresholds= --algorithms= --patterns= --seed= --delay-weight= --sweep-workers= --threads= --notes= -o= --output= --out-dir= --quick"),
+    ("verify", "--patterns= --seed= --exact"),
+    ("check", "--certify= --golden= --engine= --fast --json"),
+    ("bound", "--golden= --json"),
+    ("map", ""),
+    ("verilog", "-o= --output="),
+    ("cec", ""),
+    ("simplify", "-o= --output="),
+    ("serve", "--listen= --workers= --queue= --cache= --max-patterns= --max-iterations= --events="),
+    ("list", ""),
+];
+
+/// The positional arguments of `cmd`, rejecting any flag it does not
+/// accept (exit 2). `main` runs this before every command. A value-taking
+/// flag consumes the next argument, so a value such as `-3` is never
+/// mistaken for a flag. Unknown commands pass through to the dispatcher's
+/// own error.
+fn positionals<'a>(cmd: Option<&str>, args: &'a [String]) -> Result<Vec<&'a str>, CliError> {
+    let Some(&(cmd, accepted)) = FLAGS.iter().find(|(name, _)| Some(*name) == cmd) else {
+        return Ok(Vec::new());
+    };
+    let mut found = Vec::new();
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            found.push(arg);
+            continue;
+        }
+        match accepted.split(' ').find(|f| f.trim_end_matches('=') == arg) {
+            Some(flag) if flag.ends_with('=') => {
+                rest.next();
+            }
+            Some(_) => {}
+            None => return Err(usage(format!("{cmd}: unknown flag `{arg}`"))),
+        }
+    }
+    Ok(found)
 }
 
 const USAGE: &str = "\
@@ -122,7 +172,6 @@ USAGE:
                   [--no-cache] [--no-dontcares] [--verbose]
                   [--metrics]             print engine counters and timings
                   [--events <log.jsonl>]  stream telemetry events to a file
-                  (deprecated aliases: --num-patterns N, --full-resim)
   als sweep       <benchmark|in.blif>          threshold × algorithm grid,
                   [--quick]                    Pareto frontier over
                   [--thresholds a,b,..]        (literals, delay, error rate)
@@ -178,26 +227,6 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-}
-
-/// Parses a `--patterns` policy: `fixed:N`, `adaptive:MIN..MAX`, or a bare
-/// count `N` (shorthand for `fixed:N`, the pre-policy flag syntax).
-fn parse_pattern_policy(spec: &str) -> Result<PatternPolicy, String> {
-    if let Some(n) = spec.strip_prefix("fixed:") {
-        let n = n.parse().map_err(|e| format!("fixed count: {e}"))?;
-        return Ok(PatternPolicy::Fixed(n));
-    }
-    if let Some(range) = spec.strip_prefix("adaptive:") {
-        let (min, max) = range
-            .split_once("..")
-            .ok_or_else(|| String::from("adaptive policy wants MIN..MAX"))?;
-        let min = min.parse().map_err(|e| format!("adaptive MIN: {e}"))?;
-        let max = max.parse().map_err(|e| format!("adaptive MAX: {e}"))?;
-        return Ok(PatternPolicy::Adaptive { min, max });
-    }
-    spec.parse()
-        .map(PatternPolicy::Fixed)
-        .map_err(|e| format!("pattern count: {e}"))
 }
 
 fn write_or_print(net: &Network, args: &[String]) -> Result<(), CliError> {
@@ -279,19 +308,11 @@ fn cmd_approximate(args: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(patterns) = flag_value(args, "--patterns") {
-        builder = builder.patterns(parse_pattern_policy(patterns).map_err(|e| {
+        builder = builder.patterns(patterns.parse().map_err(|e| {
             usage(format!(
                 "bad --patterns: {e} (fixed:N, adaptive:MIN..MAX, or N)"
             ))
         })?);
-    }
-    if let Some(patterns) = flag_value(args, "--num-patterns") {
-        eprintln!("warning: --num-patterns is deprecated; use --patterns fixed:N");
-        builder = builder.patterns(PatternPolicy::Fixed(
-            patterns
-                .parse()
-                .map_err(|e| usage(format!("bad --num-patterns: {e}")))?,
-        ));
     }
     if let Some(mode) = flag_value(args, "--resim") {
         builder = builder.resim(match mode {
@@ -316,10 +337,6 @@ fn cmd_approximate(args: &[String]) -> Result<(), CliError> {
     }
     if args.iter().any(|a| a == "--no-dontcares") {
         builder = builder.use_dont_cares(false);
-    }
-    if args.iter().any(|a| a == "--full-resim") {
-        eprintln!("warning: --full-resim is deprecated; use --resim full");
-        builder = builder.resim(ResimMode::Full);
     }
     if let Some(log_path) = flag_value(args, "--events") {
         let sink = als::telemetry::JsonlSink::create(log_path)
@@ -452,7 +469,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         grid.patterns = spec
             .split(',')
             .map(|p| {
-                parse_pattern_policy(p.trim()).map_err(|e| {
+                p.trim().parse().map_err(|e| {
                     usage(format!(
                         "bad --patterns entry `{p}`: {e} (fixed:N, adaptive:MIN..MAX, or N)"
                     ))
@@ -527,15 +544,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .iter()
-        .enumerate()
-        .find(|&(i, a)| {
-            !a.starts_with('-')
-                && (i == 0
-                    || !matches!(args[i - 1].as_str(), "--certify" | "--golden" | "--engine"))
-        })
-        .map(|(_, a)| a)
+    let path = *positionals(Some("check"), args)?
+        .first()
         .ok_or_else(|| usage("check needs a BLIF file"))?;
     let net = read_network_unchecked(path)?;
     let engine = match flag_value(args, "--engine") {
@@ -637,13 +647,8 @@ fn report_to_json(report: &als::check::AnalysisReport) -> Json {
 /// per-output (and combined) error-rate intervals of the network against
 /// the golden function.
 fn cmd_bound(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .iter()
-        .enumerate()
-        .find(|&(i, a)| {
-            !a.starts_with('-') && (i == 0 || !matches!(args[i - 1].as_str(), "--golden"))
-        })
-        .map(|(_, a)| a)
+    let path = *positionals(Some("bound"), args)?
+        .first()
         .ok_or_else(|| usage("bound needs a BLIF file"))?;
     let net = read_network(path)?;
     let json = args.iter().any(|a| a == "--json");
@@ -786,10 +791,10 @@ fn cmd_cec(args: &[String]) -> Result<(), CliError> {
         .ok_or_else(|| usage("cec needs <a.blif> <b.blif>"))?;
     let a = read_network(a_path)?;
     let b = read_network(b_path)?;
-    let result = als::aig::cec(&a, &b);
+    let result = cec(&a, &b);
     println!("{result}");
     match result {
-        als::aig::CecResult::Equivalent => Ok(()),
+        CecResult::Equivalent => Ok(()),
         _ => Err("networks differ".into()),
     }
 }

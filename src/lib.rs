@@ -18,7 +18,7 @@
 //! | [`circuits`] | the Table 3 benchmark generators |
 //! | [`mapper`] | technology mapping onto an MCNC-like cell library |
 //! | [`bdd`] | ROBDDs for exact (non-sampled) error-rate verification |
-//! | [`aig`] | and-inverter graphs; SAT-based equivalence checking |
+//! | [`check`] | static analysis, certificate audit, #SAT exact error rates, SAT equivalence checking |
 //! | [`absint`] | abstract-interpretation error bounds: probability/error intervals, static candidate pruning |
 //! | [`serve`] | the `als serve` daemon: JSONL-over-TCP synthesis jobs with a cross-job artifact cache |
 //!
@@ -47,7 +47,6 @@
 #![deny(missing_debug_implementations)]
 
 pub use als_absint as absint;
-pub use als_aig as aig;
 pub use als_bdd as bdd;
 pub use als_check as check;
 pub use als_circuits as circuits;
@@ -56,19 +55,19 @@ pub use als_dontcare as dontcare;
 pub use als_logic as logic;
 pub use als_mapper as mapper;
 pub use als_network as network;
-pub use als_sasimi as sasimi;
 pub use als_sat as sat;
 pub use als_serve as serve;
 pub use als_sim as sim;
 pub use als_telemetry as telemetry;
 
 // Convenience re-exports of the items used in almost every program.
+pub use als_core::sasimi;
+pub use als_core::sasimi::sasimi;
 pub use als_core::{
     approximate, multi_selection, single_selection, AlsConfig, AlsError, AlsOutcome, DelayWeight,
     MagnitudeConstraint, MetricsReport, PatternPolicy, PrunePolicy, ResimMode, Strategy,
 };
 pub use als_network::Network;
-pub use als_sasimi::sasimi;
 
 /// The convenience import surface: everything a typical caller needs to run
 /// a synthesis and inspect the outcome.

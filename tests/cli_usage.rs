@@ -127,3 +127,73 @@ fn serve_rejects_bad_flags_with_usage_errors() {
         );
     }
 }
+
+/// A path in this test binary's scratch directory.
+fn tmp_path(file: &str) -> String {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    dir.join(file).to_string_lossy().into_owned()
+}
+
+/// Writes `y = f(a, b)` with the given SOP rows as a BLIF file; returns its path.
+fn write_blif(name: &str, rows: &str) -> String {
+    let path = tmp_path(&format!("{name}.blif"));
+    let text = format!(".model {name}\n.inputs a b\n.outputs y\n.names a b y\n{rows}.end\n");
+    std::fs::write(&path, text).expect("write BLIF");
+    path
+}
+
+#[test]
+fn cec_reports_equivalence_and_witnesses() {
+    let (rca, ksa) = (tmp_path("cec_rca32.blif"), tmp_path("cec_ksa32.blif"));
+    assert!(als(&["gen", "RCA32", "-o", &rca]).status.success());
+    assert!(als(&["gen", "KSA32", "-o", &ksa]).status.success());
+    let out = als(&["cec", &rca, &ksa]);
+    assert_eq!(out.status.code(), Some(0), "RCA32 and KSA32 are equivalent");
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "equivalent");
+
+    let out = als(&[
+        "cec",
+        &write_blif("cec_and", "11 1\n"),
+        &write_blif("cec_or", "1- 1\n-1 1\n"),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "AND and OR differ");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // The witness sets exactly one of the two inputs.
+    let witness = stdout.trim().strip_prefix("not equivalent; witness ");
+    assert!(
+        matches!(witness, Some("01" | "10")),
+        "no witness in: {stdout}"
+    );
+}
+
+#[test]
+fn unknown_flags_exit_2_on_every_subcommand() {
+    let blif = write_blif("flags_and", "11 1\n");
+    for cmd in DISPATCHED {
+        // A valid invocation, so the unknown flag is the only fault.
+        let mut args: Vec<&str> = match *cmd {
+            "gen" | "sweep" => vec![cmd, "RCA32"],
+            "approximate" => vec![cmd, &blif, "--threshold", "0.05"],
+            "verify" | "cec" => vec![cmd, &blif, &blif],
+            "serve" => vec![cmd, "--listen", "127.0.0.1:0"],
+            "list" => vec![cmd],
+            _ => vec![cmd, &blif],
+        };
+        args.push("--no-such-flag");
+        let out = als(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`als {}`", args.join(" "));
+        assert!(stderr.contains("unknown flag `--no-such-flag`"), "{stderr}");
+    }
+    // The removed pattern-count alias is an unknown flag too, not a silent
+    // run at the default budget.
+    let out = als(&[
+        "approximate",
+        &blif,
+        "--threshold",
+        "0.05",
+        "--num-patterns",
+        "256",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+}

@@ -95,7 +95,7 @@ proptest! {
 }
 
 /// The incremental dirty-set resimulation engine is a pure *speed* knob
-/// too: `full_resim` (the `--full-resim` CLI escape hatch) degrades every
+/// too: `ResimMode::Full` (the `--resim full` CLI escape hatch) degrades every
 /// update to a full pass through the identical measurement arithmetic, so
 /// outcomes must stay byte-identical across every circuit × Table-4
 /// threshold × all three algorithms (quick pattern counts keep the sweep

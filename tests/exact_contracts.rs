@@ -2,8 +2,8 @@
 //! slack: the synthesized circuits' true error rates are computed over the
 //! full input space.
 
-use als::aig::{cec, CecResult};
 use als::bdd::exact_error_rate;
+use als::check::{cec, CecResult};
 use als::circuits::{carry_lookahead_adder, kogge_stone_adder, ripple_carry_adder};
 use als::core::{multi_selection, single_selection, AlsConfig};
 use als::sasimi::sasimi;
