@@ -32,7 +32,7 @@ fn bench_parallel_refresh(c: &mut Criterion) {
                     // all nodes (a warm cache would measure nothing).
                     let mut engine = CandidateEngine::new(black_box(&config), true);
                     engine.refresh(black_box(&net), black_box(&ctx));
-                    black_box(engine.stats().evaluated)
+                    black_box(engine.last_evaluated().len())
                 });
             },
         );

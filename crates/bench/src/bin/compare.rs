@@ -1,29 +1,25 @@
-//! The perf gate: compares two `BENCH_<circuit>.json` or `SWEEP_<circuit>.json`
-//! records (see the `perfsuite` binary and `als sweep`) and exits nonzero
-//! when the new one regresses. Sweep records are detected by their
-//! `"kind": "sweep"` discriminator and routed to the Pareto-frontier gate
-//! (a point newly dominated by the baseline frontier fails).
+//! The sweep-frontier gate: compares two `SWEEP_<circuit>.json` records
+//! (written by `als sweep`) and exits nonzero when the new one regresses —
+//! a point newly dominated by the baseline frontier, or a point whose
+//! literal count grew past the tolerance.
 //!
 //! Usage: `als-bench --compare <baseline.json> <new.json>
-//! [--max-slowdown PCT] [--max-quality PCT] [--warn-only]`
+//! [--max-quality PCT] [--warn-only]`
 //!
-//! * `--max-slowdown` — tolerated wall-time growth in percent (default 15;
-//!   bench records only);
-//! * `--max-quality` — tolerated literal-ratio growth in percent (default 2);
+//! * `--max-quality` — tolerated literal-count growth in percent (default 2);
 //! * `--warn-only` — print regressions but exit 0 (CI uses this on pull
 //!   requests, where the comparison is advisory; pushes to main fail hard).
 
 use als_bench::exit_with_error;
-use als_bench::record::{compare, compare_sweep, BenchRecord, CompareOptions};
+use als_bench::record::{compare_sweep, CompareOptions};
 use als_core::sweep::SweepRecord;
-use als_core::telemetry::Json;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if !argv.iter().any(|a| a == "--compare") {
         exit_with_error(
             "usage: als-bench --compare <baseline.json> <new.json> \
-             [--max-slowdown PCT] [--max-quality PCT] [--warn-only]",
+             [--max-quality PCT] [--warn-only]",
         );
     }
 
@@ -32,23 +28,16 @@ fn main() {
     let mut warn_only = false;
     let mut i = 0;
     while i < argv.len() {
-        let pct_of = |i: usize| -> Result<f64, String> {
-            let value = argv
-                .get(i + 1)
-                .ok_or_else(|| format!("{} expects a percentage", argv[i]))?;
-            value
-                .parse()
-                .map_err(|_| format!("{} expects a number, got `{value}`", argv[i]))
-        };
         match argv[i].as_str() {
             "--compare" => {}
             "--warn-only" => warn_only = true,
-            "--max-slowdown" => {
-                opts.max_slowdown_pct = pct_of(i).unwrap_or_else(|e| exit_with_error(&e));
-                i += 1;
-            }
             "--max-quality" => {
-                opts.max_quality_pct = pct_of(i).unwrap_or_else(|e| exit_with_error(&e));
+                let value = argv
+                    .get(i + 1)
+                    .unwrap_or_else(|| exit_with_error("--max-quality expects a percentage"));
+                opts.max_quality_pct = value.parse().unwrap_or_else(|_| {
+                    exit_with_error(&format!("--max-quality expects a number, got `{value}`"))
+                });
                 i += 1;
             }
             flag if flag.starts_with("--") => {
@@ -62,56 +51,19 @@ fn main() {
         exit_with_error("--compare expects exactly two files: <baseline.json> <new.json>");
     }
 
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path)
-            .unwrap_or_else(|e| exit_with_error(&format!("cannot read {path}: {e}")))
+    let load = |path: &str| -> SweepRecord {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| exit_with_error(&format!("cannot read {path}: {e}")));
+        SweepRecord::parse(&text).unwrap_or_else(|e| exit_with_error(&format!("{path}: {e}")))
     };
-    let is_sweep = |text: &str| {
-        Json::parse(text)
-            .ok()
-            .and_then(|j| j.get("kind").map(|k| k.as_str() == Some("sweep")))
-            .unwrap_or(false)
-    };
-    let old_text = read(&files[0]);
-    let new_text = read(&files[1]);
-    let (old_sweep, new_sweep) = (is_sweep(&old_text), is_sweep(&new_text));
-    if old_sweep != new_sweep {
-        exit_with_error("cannot compare a sweep record against a bench record");
-    }
-
-    let regressions;
-    let (circuit, baseline_sha);
-    if old_sweep {
-        let load = |path: &str, text: &str| -> SweepRecord {
-            SweepRecord::parse(text).unwrap_or_else(|e| exit_with_error(&format!("{path}: {e}")))
-        };
-        let old = load(&files[0], &old_text);
-        let new = load(&files[1], &new_text);
-        regressions = compare_sweep(&old, &new, &opts);
-        circuit = new.circuit;
-        baseline_sha = old.git_sha;
-    } else {
-        let load = |path: &str, text: &str| -> BenchRecord {
-            BenchRecord::parse(text).unwrap_or_else(|e| exit_with_error(&format!("{path}: {e}")))
-        };
-        let old = load(&files[0], &old_text);
-        let new = load(&files[1], &new_text);
-        if old.nproc != new.nproc || old.threads != new.threads {
-            println!(
-                "note: environments differ (baseline {} threads on {} cores, \
-                 new {} threads on {} cores) — timings may not be comparable",
-                old.threads, old.nproc, new.threads, new.nproc
-            );
-        }
-        regressions = compare(&old, &new, &opts);
-        circuit = new.circuit;
-        baseline_sha = old.git_sha;
-    }
+    let old = load(&files[0]);
+    let new = load(&files[1]);
+    let regressions = compare_sweep(&old, &new, &opts);
 
     if regressions.is_empty() {
         println!(
-            "{}: no regression vs baseline {} (limits: +{:.0}% time, +{:.0}% quality)",
-            circuit, baseline_sha, opts.max_slowdown_pct, opts.max_quality_pct
+            "{}: no regression vs baseline {} (limit: +{:.0}% literals)",
+            new.circuit, old.git_sha, opts.max_quality_pct
         );
         return;
     }

@@ -5,12 +5,9 @@
 //!
 //! Usage: `--quick` for a reduced run (3 thresholds, fewer patterns),
 //! `--circuit <name>` to restrict to one benchmark, `--csv` for raw records,
-//! `--json` for schema-versioned perf records on stdout (one JSON object
-//! per circuit, the `BENCH_*.json` format of the `perfsuite` binary),
 //! `--threads N` to size the candidate-evaluation worker pool (0 = all
 //! cores; the reported results are identical for every thread count).
 
-use als_bench::record::{BenchEntry, BenchRecord};
 use als_bench::{
     exit_with_error, geometric_mean, run_one, Algorithm, PAPER_THRESHOLDS, QUICK_THRESHOLDS,
 };
@@ -19,7 +16,6 @@ fn main() {
     let (quick, filter) = als_bench::parse_common_args();
     let threads = als_bench::parse_threads().unwrap_or_else(|e| exit_with_error(&e));
     let csv = std::env::args().any(|a| a == "--csv");
-    let json = std::env::args().any(|a| a == "--json");
     let thresholds: Vec<f64> = if quick {
         QUICK_THRESHOLDS.to_vec()
     } else {
@@ -28,22 +24,6 @@ fn main() {
 
     let benches =
         als_bench::resolve_benchmarks(filter.as_deref()).unwrap_or_else(|e| exit_with_error(&e));
-
-    if json {
-        // Perf-record mode: one BENCH_*.json object per circuit on stdout.
-        for bench in &benches {
-            let golden = als_bench::artifacts((bench.build)());
-            let mut record = BenchRecord::new(bench.name, threads, quick);
-            for &alg in &Algorithm::ALL {
-                for &t in &thresholds {
-                    let r = run_one(bench.name, &golden, alg, t, quick, threads);
-                    record.entries.push(BenchEntry::from_run(&r));
-                }
-            }
-            print!("{}", record.render());
-        }
-        return;
-    }
 
     if csv {
         println!("circuit,algorithm,threshold,area_ratio,literal_ratio,error_rate,runtime_s");

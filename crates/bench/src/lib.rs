@@ -12,10 +12,12 @@
 //! * `ablation` — the design-choice study of DESIGN.md §4 (don't-cares,
 //!   window size, engine, preprocess);
 //! * `scaling` — runtime vs. circuit size, backing the §6 complexity claim;
-//! * `servebench` — cold→warm job pair against an `als serve` daemon,
-//!   auditing that the cross-job artifact cache actually skips phases.
+//! * `als-bench --compare` — the sweep-frontier gate over two
+//!   `SWEEP_<circuit>.json` records (see [`record`]).
 //!
-//! Criterion microbenches live under `benches/`.
+//! Criterion microbenches live under `benches/`. The runtime benchmark of
+//! the whole flow (end-to-end and per-layer metrics, with the bounds a
+//! change is judged by) is the separate `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -27,14 +29,12 @@ use als_core::{
 };
 use als_mapper::{map_network, Library};
 use als_network::Network;
-use als_telemetry::MetricsReport;
 
 pub mod record;
-pub mod serve_record;
 
 /// The seven error-rate thresholds of the paper's evaluation (§6), and the
-/// reduced `--quick` set (the paper's tightest threshold is included so the
-/// perf smoke exercises the static-pruning fast path).
+/// reduced `--quick` set (the paper's tightest threshold is included so
+/// quick runs exercise the static-pruning fast path).
 pub use als_core::sweep::{FULL_THRESHOLDS as PAPER_THRESHOLDS, QUICK_THRESHOLDS};
 
 /// The three compared algorithms.
@@ -94,8 +94,6 @@ pub struct RunResult {
     pub error_rate: f64,
     /// Wall-clock runtime in seconds.
     pub runtime_s: f64,
-    /// Engine metrics of the run (phase timings, cache/simulation counters).
-    pub metrics: MetricsReport,
 }
 
 /// Runs one algorithm on one circuit at one threshold, reporting mapped
@@ -115,20 +113,15 @@ pub fn run_one(
 ) -> RunResult {
     let mut config = AlsConfig::with_threshold(threshold);
     config.threads = threads;
-    // Adaptive sampling in both modes: outcomes are byte-identical to the
-    // fixed budget (see `AlsContext::update_and_accept`), and the recorded
-    // `adaptive_early_decisions` / `patterns_simulated_words` counters feed
-    // the perf-gate that keeps the escalation path alive.
+    // Adaptive sampling in both modes: it rejects most trials from a
+    // pattern prefix, and outcomes stay byte-identical to the fixed budget
+    // (see `AlsContext::update_and_accept`). Don't-cares are classified by
+    // SAT, the paper's method and the default.
     if quick {
         config.patterns = PatternPolicy::Adaptive {
             min: 256,
             max: 2048,
         };
-        // The SAT method (the paper's configuration) in quick mode too:
-        // classifications are identical to enumeration, and the recorded
-        // `sat_queries` / `solver_instances` counters feed the perf gate
-        // that keeps incremental solver reuse alive.
-        config.dont_care.method = als_dontcare::DontCareMethod::Sat;
     } else {
         config.patterns = PatternPolicy::Adaptive {
             min: 1024,
@@ -140,10 +133,6 @@ pub fn run_one(
         approximate_with_context(&golden.network, algorithm.strategy(), &config, ctx)
             .expect("benchmark configuration must be valid"); // lint:allow(panic): internal invariant; the message states it
     let approx_mapped = map_network(&outcome.network, &Library::mcnc_like());
-    let mut metrics = outcome.metrics.clone();
-    // Telemetry has no mapper dependency, so the mapped delay is stamped
-    // here — the one place that already paid for the mapping.
-    metrics.mapped_delay = approx_mapped.delay();
     RunResult {
         circuit: circuit_name.to_string(),
         algorithm: algorithm.name().to_string(),
@@ -153,7 +142,6 @@ pub fn run_one(
         delay_ratio: approx_mapped.delay() / golden.golden_delay,
         error_rate: outcome.measured_error_rate,
         runtime_s: outcome.runtime.as_secs_f64(),
-        metrics,
     }
 }
 
@@ -265,6 +253,7 @@ mod tests {
         assert!(r.literal_ratio <= 1.0);
         assert!(r.area_ratio <= 1.05);
         assert!(r.error_rate <= 0.05 + 1e-12);
+        assert!(r.delay_ratio > 0.0);
         assert!(r.runtime_s >= 0.0);
     }
 
@@ -275,16 +264,6 @@ mod tests {
         assert!(err.contains("RCA32"), "must list valid names: {err}");
         assert_eq!(resolve_benchmarks(None).unwrap().len(), 12);
         assert_eq!(resolve_benchmarks(Some("rca32")).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn run_one_populates_metrics() {
-        let r = run_one("RCA4", &rca4(), Algorithm::SingleSelection, 0.05, true, 1);
-        assert!(r.metrics.simulations > 0);
-        assert!(r.metrics.measurements > 0);
-        assert_eq!(r.metrics.algorithm, "single-selection");
-        assert!(r.metrics.mapped_delay > 0.0);
-        assert!(r.delay_ratio > 0.0);
     }
 
     #[test]

@@ -74,22 +74,6 @@ pub struct CandidateCache {
     entries: HashMap<NodeId, NodeEntry>,
 }
 
-/// Cumulative engine counters (cache effectiveness, parallel work).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Refresh calls served so far.
-    pub refreshes: usize,
-    /// Node evaluations actually computed (cache misses).
-    pub evaluated: usize,
-    /// Node evaluations served from the cache.
-    pub cache_hits: usize,
-    /// Candidates discarded by static bounds before their pricing ran.
-    pub candidates_pruned: usize,
-    /// Evaluations whose local-pattern gather was skipped entirely because
-    /// every candidate was pruned — the simulations-avoided measure.
-    pub nodes_skipped: usize,
-}
-
 /// Slack added to the pruning comparison: a candidate is discarded only
 /// when `static_lo > budget + PRUNE_EPS`. The `k ≤ 2` bounds reproduce the
 /// dynamic apparent rate bit for bit; the `k ≥ 3` Fréchet sums and the
@@ -122,11 +106,10 @@ pub struct CandidateEngine {
     needs_dont_cares: bool,
     threads: usize,
     cache_enabled: bool,
-    /// Sink handle from the config; one `EngineRefresh` event per refresh,
-    /// one `ConeInvalidated` per commit, and one `CandidatePruned` per
-    /// statically discarded candidate — all emitted from the coordinating
-    /// thread (pruning details merge back with the worker results), so the
-    /// workers stay telemetry-free.
+    /// Sink handle from the config; one `EngineRefresh` event per refresh
+    /// (its pruning counts summed from the worker results) and one
+    /// `ConeInvalidated` per commit, both emitted from the coordinating
+    /// thread, so the workers stay telemetry-free.
     telemetry: Telemetry,
     cache: CandidateCache,
     /// Candidates rejected for cause (e.g. a magnitude violation), keyed by
@@ -141,7 +124,6 @@ pub struct CandidateEngine {
     prune_budget: f64,
     /// Node ids computed by the most recent refresh (diagnostics/tests).
     last_evaluated: Vec<NodeId>,
-    stats: EngineStats,
 }
 
 impl CandidateEngine {
@@ -159,7 +141,6 @@ impl CandidateEngine {
             banned: HashMap::new(),
             prune_budget: f64::INFINITY,
             last_evaluated: Vec::new(),
-            stats: EngineStats::default(),
         }
     }
 
@@ -226,7 +207,6 @@ impl CandidateEngine {
             net.check()
         );
         let mark = self.telemetry.start();
-        self.stats.refreshes += 1;
         if !self.cache_enabled {
             self.cache.entries.clear();
         }
@@ -249,13 +229,11 @@ impl CandidateEngine {
                 _ => pending.push((id, signature)),
             }
         }
-        self.stats.cache_hits += hits;
         self.last_evaluated = pending.iter().map(|&(id, _)| id).collect();
         let evaluated = pending.len();
+        let mut candidates_pruned = 0usize;
         let mut nodes_skipped = 0usize;
         if !pending.is_empty() {
-            self.stats.evaluated += pending.len();
-
             let owned: SimResult;
             let view = if let Some(v) = sim {
                 v
@@ -269,29 +247,13 @@ impl CandidateEngine {
                 &self.config,
                 self.needs_dont_cares,
                 budget,
-                self.telemetry.is_enabled(),
                 &pending,
                 self.threads,
             );
-            // Per-candidate pruning info is collected inside the workers and
-            // emitted here, post-merge, in node-id order — so the event
-            // stream is identical for every thread count.
-            let mut pruned_events: Vec<PrunedCandidate> = Vec::new();
             for (id, outcome) in computed {
-                self.stats.candidates_pruned += outcome.pruned_count;
+                candidates_pruned += outcome.pruned_count;
                 nodes_skipped += usize::from(outcome.gather_skipped);
-                pruned_events.extend(outcome.pruned);
                 self.cache.entries.insert(id, outcome.entry);
-            }
-            self.stats.nodes_skipped += nodes_skipped;
-            for p in pruned_events {
-                self.telemetry.emit(move || Event::CandidatePruned {
-                    node: p.node,
-                    ase: p.ase,
-                    static_lo: p.static_lo,
-                    static_hi: p.static_hi,
-                    budget,
-                });
             }
             // Worker-side SAT counters are plain sums over chunk-scoped
             // classifiers, so the aggregate (emitted here, post-merge) is
@@ -307,6 +269,7 @@ impl CandidateEngine {
         self.telemetry.emit(|| Event::EngineRefresh {
             evaluated: evaluated as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
             cache_hits: hits as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
+            candidates_pruned: candidates_pruned as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
             nodes_skipped: nodes_skipped as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
             nanos: Telemetry::nanos_since(mark),
         });
@@ -410,11 +373,6 @@ impl CandidateEngine {
     pub fn last_evaluated(&self) -> &[NodeId] {
         &self.last_evaluated
     }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
 }
 
 /// Resolves a configured thread count: `0` means "ask the OS".
@@ -437,24 +395,12 @@ fn local_signature(net: &Network, id: NodeId) -> u64 {
     h.finish()
 }
 
-/// Pruning details for one discarded candidate, collected in the workers
-/// (only when a telemetry sink is attached) and emitted post-merge.
-#[derive(Debug)]
-struct PrunedCandidate {
-    node: String,
-    ase: String,
-    static_lo: f64,
-    static_hi: f64,
-}
-
-/// One node's evaluation result plus its pruning side-channel.
+/// One node's evaluation result plus its pruning counts.
 #[derive(Debug)]
 struct NodeOutcome {
     entry: NodeEntry,
     /// Candidates discarded by static bounds.
     pruned_count: usize,
-    /// Their details, populated only when `record_pruned` was set.
-    pruned: Vec<PrunedCandidate>,
     /// Whether the local-pattern gather was skipped because every candidate
     /// was pruned.
     gather_skipped: bool,
@@ -469,7 +415,6 @@ impl NodeOutcome {
                 candidates: Vec::new(),
             },
             pruned_count: 0,
-            pruned: Vec::new(),
             gather_skipped: false,
         }
     }
@@ -484,14 +429,12 @@ impl NodeOutcome {
 /// the scheduling unit, so solver-instance counts depend only on the chunk
 /// contents — identical for every thread count — and the returned
 /// [`SolverStats`] are plain sums that commute across workers.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_all(
     net: &Network,
     sim: SimView<'_>,
     config: &AlsConfig,
     needs_dont_cares: bool,
     budget: f64,
-    record_pruned: bool,
     pending: &[(NodeId, u64)],
     threads: usize,
 ) -> (Vec<(NodeId, NodeOutcome)>, SolverStats) {
@@ -506,7 +449,6 @@ fn evaluate_all(
             config,
             needs_dont_cares,
             budget,
-            record_pruned,
             classifier,
             id,
             sig,
@@ -615,7 +557,6 @@ fn evaluate_node(
     config: &AlsConfig,
     needs_dont_cares: bool,
     budget: f64,
-    record_pruned: bool,
     classifier: &mut IncrementalClassifier,
     id: NodeId,
     signature: u64,
@@ -635,20 +576,11 @@ fn evaluate_node(
     // never be pruned.
     let bounds = static_minterm_bounds(net, sim, id);
     let mut pruned_count = 0usize;
-    let mut pruned: Vec<PrunedCandidate> = Vec::new();
     let mut survivors: Vec<(Ase, Interval)> = Vec::new();
     for ase in ases {
         let interval = bounds.set_probability(&ase.elips);
         if interval.lo > budget + PRUNE_EPS {
             pruned_count += 1;
-            if record_pruned {
-                pruned.push(PrunedCandidate {
-                    node: node.name().to_string(),
-                    ase: ase.expr.to_string(),
-                    static_lo: interval.lo,
-                    static_hi: interval.hi,
-                });
-            }
         } else {
             survivors.push((ase, interval));
         }
@@ -663,7 +595,6 @@ fn evaluate_node(
                 candidates: Vec::new(),
             },
             pruned_count,
-            pruned,
             gather_skipped: true,
         };
     }
@@ -708,7 +639,6 @@ fn evaluate_node(
             candidates,
         },
         pruned_count,
-        pruned,
         gather_skipped: false,
     }
 }
@@ -768,8 +698,6 @@ mod tests {
         // A second refresh with no changes touches nothing.
         engine.refresh(&net, &ctx);
         assert!(engine.last_evaluated().is_empty());
-        assert_eq!(engine.stats().evaluated, mids.len());
-        assert_eq!(engine.stats().cache_hits, mids.len());
     }
 
     #[test]
@@ -884,8 +812,7 @@ mod tests {
         let mut engine = CandidateEngine::new(&config, true);
         engine.refresh(&net, &ctx);
         engine.refresh(&net, &ctx);
-        assert_eq!(engine.stats().evaluated, 2 * mids.len());
-        assert_eq!(engine.stats().cache_hits, 0);
+        assert_eq!(engine.last_evaluated().len(), mids.len());
     }
 
     #[test]

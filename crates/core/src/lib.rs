@@ -84,7 +84,7 @@ pub use config::{
     ResimMode,
 };
 pub use context::AlsContext;
-pub use engine::{CandidateEngine, CandidateEval, EngineStats};
+pub use engine::{CandidateEngine, CandidateEval};
 pub use error::AlsError;
 pub use error_model::{apparent_error_rate, estimated_real_error_rate, score, NodeErrorAnalysis};
 pub use multi::{multi_selection, multi_selection_under};

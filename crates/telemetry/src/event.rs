@@ -156,27 +156,17 @@ pub enum Event {
         evaluated: u64,
         /// Nodes served from the memo.
         cache_hits: u64,
+        /// Candidate ASEs of the evaluated nodes discarded *without*
+        /// gathering their local pattern distribution: their static lower
+        /// error bound already exceeded the remaining error budget, so the
+        /// dynamic path could never accept them.
+        candidates_pruned: u64,
         /// Nodes whose local-distribution gather was skipped entirely
         /// because static bounds pruned every candidate — the
         /// simulations-avoided measure.
         nodes_skipped: u64,
         /// Wall time of the refresh (simulation included).
         nanos: u64,
-    },
-    /// A candidate ASE was discarded *without* gathering its local pattern
-    /// distribution: its static lower error bound already exceeds the
-    /// remaining error budget, so the dynamic path could never accept it.
-    CandidatePruned {
-        /// Name of the node the candidate would have rewritten.
-        node: String,
-        /// Display form of the rejected local function.
-        ase: String,
-        /// Static lower bound on the candidate's apparent error rate.
-        static_lo: f64,
-        /// Static upper bound on the candidate's apparent error rate.
-        static_hi: f64,
-        /// The remaining error budget the bound was compared against.
-        budget: f64,
     },
     /// Aggregated SAT activity from don't-care classification over one
     /// engine refresh (or one classical simplification pass): how many
@@ -311,7 +301,6 @@ impl Event {
             Event::SimilarityScanned { .. } => "similarity_scanned",
             Event::Measured { .. } => "measured",
             Event::EngineRefresh { .. } => "engine_refresh",
-            Event::CandidatePruned { .. } => "candidate_pruned",
             Event::SatActivity { .. } => "sat_activity",
             Event::ConeInvalidated { .. } => "cone_invalidated",
             Event::KnapsackSolved { .. } => "knapsack_solved",
@@ -401,26 +390,15 @@ impl Event {
             Event::EngineRefresh {
                 evaluated,
                 cache_hits,
+                candidates_pruned,
                 nodes_skipped,
                 nanos,
             } => {
                 obj.set("evaluated", evaluated)
                     .set("cache_hits", cache_hits)
+                    .set("candidates_pruned", candidates_pruned)
                     .set("nodes_skipped", nodes_skipped)
                     .set("nanos", nanos);
-            }
-            Event::CandidatePruned {
-                ref node,
-                ref ase,
-                static_lo,
-                static_hi,
-                budget,
-            } => {
-                obj.set("node", node.as_str())
-                    .set("ase", ase.as_str())
-                    .set("static_lo", static_lo)
-                    .set("static_hi", static_hi)
-                    .set("budget", budget);
             }
             Event::SatActivity {
                 sat_queries,
@@ -573,15 +551,9 @@ mod tests {
             Event::EngineRefresh {
                 evaluated: 4,
                 cache_hits: 6,
+                candidates_pruned: 11,
                 nodes_skipped: 2,
                 nanos: 9,
-            },
-            Event::CandidatePruned {
-                node: "g7".to_string(),
-                ase: "0".to_string(),
-                static_lo: 0.04,
-                static_hi: 0.25,
-                budget: 0.01,
             },
             Event::SatActivity {
                 sat_queries: 512,

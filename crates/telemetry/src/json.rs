@@ -25,7 +25,7 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object. Keys are kept sorted (`BTreeMap`) so rendering is
-    /// deterministic — diffs of committed `BENCH_*.json` files stay minimal.
+    /// deterministic — diffs of committed `SWEEP_*.json` files stay minimal.
     Obj(BTreeMap<String, Json>),
 }
 
@@ -102,7 +102,7 @@ impl Json {
         out
     }
 
-    /// Renders with two-space indentation — the committed `BENCH_*.json`
+    /// Renders with two-space indentation — the committed `SWEEP_*.json`
     /// format (reviewable diffs).
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();

@@ -12,9 +12,9 @@
 //! * [`MetricsCollector`] / [`MetricsReport`] — the in-memory aggregation
 //!   sink; every `AlsOutcome` carries a report in its `metrics` field;
 //! * [`JsonlSink`] — a streaming JSONL event log for offline analysis;
-//! * [`Json`] — the minimal JSON value type backing the event log and the
-//!   `BENCH_*.json` perf records (the build environment is offline, so
-//!   `serde` is not available).
+//! * [`Json`] — the minimal JSON value type backing the event log, the
+//!   `SWEEP_*.json` frontier records and the `als serve` protocol (the
+//!   build environment is offline, so `serde` is not available).
 //!
 //! # Example
 //!
@@ -27,6 +27,7 @@
 //! telemetry.emit(|| Event::EngineRefresh {
 //!     evaluated: 10,
 //!     cache_hits: 3,
+//!     candidates_pruned: 5,
 //!     nodes_skipped: 2,
 //!     nanos: 1_000,
 //! });

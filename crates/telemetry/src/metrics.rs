@@ -234,17 +234,16 @@ impl MetricsReport {
             Event::EngineRefresh {
                 evaluated,
                 cache_hits,
+                candidates_pruned,
                 nodes_skipped,
                 nanos,
             } => {
                 self.refreshes += 1;
                 self.evaluations += evaluated;
                 self.cache_hits += cache_hits;
+                self.candidates_pruned += candidates_pruned;
                 self.nodes_skipped += nodes_skipped;
                 self.phase_nanos.refresh += nanos;
-            }
-            Event::CandidatePruned { .. } => {
-                self.candidates_pruned += 1;
             }
             Event::SatActivity {
                 sat_queries,
@@ -306,8 +305,8 @@ impl MetricsReport {
         }
     }
 
-    /// The report as a JSON object — the `"metrics"` block of a
-    /// `BENCH_*.json` run entry.
+    /// The report as a JSON object — the `"metrics"` block of an
+    /// `als serve` result frame.
     pub fn to_json(&self) -> Json {
         let mut phases = Json::object();
         for (name, secs) in self.phase_nanos.as_seconds() {
@@ -436,15 +435,9 @@ mod tests {
             Event::EngineRefresh {
                 evaluated: 8,
                 cache_hits: 0,
+                candidates_pruned: 1,
                 nodes_skipped: 1,
                 nanos: 500,
-            },
-            Event::CandidatePruned {
-                node: "g2".to_string(),
-                ase: "0".to_string(),
-                static_lo: 0.2,
-                static_hi: 0.4,
-                budget: 0.05,
             },
             Event::KnapsackSolved {
                 items: 3,
@@ -464,6 +457,7 @@ mod tests {
             Event::EngineRefresh {
                 evaluated: 5,
                 cache_hits: 3,
+                candidates_pruned: 0,
                 nodes_skipped: 0,
                 nanos: 300,
             },
@@ -548,6 +542,7 @@ mod tests {
         report.absorb(&Event::EngineRefresh {
             evaluated: 7,
             cache_hits: 2,
+            candidates_pruned: 6,
             nodes_skipped: 3,
             nanos: 10,
         });
@@ -598,7 +593,7 @@ mod tests {
         );
         assert_eq!(
             json.get("candidates_pruned").and_then(Json::as_u64),
-            Some(0)
+            Some(6)
         );
         assert_eq!(json.get("sat_queries").and_then(Json::as_u64), Some(16));
         assert_eq!(json.get("solver_instances").and_then(Json::as_u64), Some(1));

@@ -83,18 +83,18 @@ fn main() -> ExitCode {
         Some((cmd, rest)) => (Some(cmd.as_str()), rest),
         None => (None, &[][..]),
     };
-    let result = positionals(cmd, rest).and_then(|_| match cmd {
-        Some("stats") => cmd_stats(rest),
-        Some("gen") => cmd_gen(rest),
-        Some("approximate") => cmd_approximate(rest),
-        Some("sweep") => cmd_sweep(rest),
-        Some("verify") => cmd_verify(rest),
-        Some("check") => cmd_check(rest),
-        Some("bound") => cmd_bound(rest),
-        Some("map") => cmd_map(rest),
-        Some("verilog") => cmd_verilog(rest),
-        Some("cec") => cmd_cec(rest),
-        Some("simplify") => cmd_simplify(rest),
+    let result = positionals(cmd, rest).and_then(|pos| match cmd {
+        Some("stats") => cmd_stats(&pos),
+        Some("gen") => cmd_gen(&pos, rest),
+        Some("approximate") => cmd_approximate(&pos, rest),
+        Some("sweep") => cmd_sweep(&pos, rest),
+        Some("verify") => cmd_verify(&pos, rest),
+        Some("check") => cmd_check(&pos, rest),
+        Some("bound") => cmd_bound(&pos, rest),
+        Some("map") => cmd_map(&pos),
+        Some("verilog") => cmd_verilog(&pos, rest),
+        Some("cec") => cmd_cec(&pos),
+        Some("simplify") => cmd_simplify(&pos, rest),
         Some("serve") => cmd_serve(rest),
         Some("list") => cmd_list(),
         Some("--help" | "-h" | "help") | None => {
@@ -131,10 +131,11 @@ const FLAGS: &[(&str, &str)] = &[
 ];
 
 /// The positional arguments of `cmd`, rejecting any flag it does not
-/// accept (exit 2). `main` runs this before every command. A value-taking
-/// flag consumes the next argument, so a value such as `-3` is never
-/// mistaken for a flag. Unknown commands pass through to the dispatcher's
-/// own error.
+/// accept (exit 2). `main` runs this before every command and hands the
+/// result to it, so flags may come before or after the positionals. A
+/// value-taking flag consumes the next argument, so a value such as `-3`
+/// is never mistaken for a flag. Unknown commands pass through to the
+/// dispatcher's own error.
 fn positionals<'a>(cmd: Option<&str>, args: &'a [String]) -> Result<Vec<&'a str>, CliError> {
     let Some(&(cmd, accepted)) = FLAGS.iter().find(|(name, _)| Some(*name) == cmd) else {
         return Ok(Vec::new());
@@ -241,8 +242,8 @@ fn write_or_print(net: &Network, args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
-    let path = args
+fn cmd_stats(pos: &[&str]) -> Result<(), CliError> {
+    let path = *pos
         .first()
         .ok_or_else(|| usage("stats needs a BLIF file"))?;
     let net = read_network(path)?;
@@ -256,8 +257,8 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), CliError> {
-    let name = args
+fn cmd_gen(pos: &[&str], args: &[String]) -> Result<(), CliError> {
+    let name = *pos
         .first()
         .ok_or_else(|| usage("gen needs a benchmark name (see `als list`)"))?;
     let bench = find_benchmark(name)
@@ -282,8 +283,8 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_approximate(args: &[String]) -> Result<(), CliError> {
-    let path = args
+fn cmd_approximate(pos: &[&str], args: &[String]) -> Result<(), CliError> {
+    let path = *pos
         .first()
         .ok_or_else(|| usage("approximate needs a BLIF file"))?;
     let net = read_network_unchecked(path)?;
@@ -418,12 +419,11 @@ fn cmd_approximate(args: &[String]) -> Result<(), CliError> {
 /// intervals, golden simulation per pattern budget) are computed once;
 /// grid points run in parallel with byte-identical results for any
 /// `--sweep-workers` setting.
-fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
+fn cmd_sweep(pos: &[&str], args: &[String]) -> Result<(), CliError> {
     use als::core::sweep::{detect_git_sha, run_sweep, SweepGrid};
 
-    let target = args
+    let target = *pos
         .first()
-        .filter(|a| !a.starts_with('-'))
         .ok_or_else(|| usage("sweep needs a benchmark name (see `als list`) or a BLIF file"))?;
     let (circuit, net) = if let Some(bench) = find_benchmark(target) {
         (bench.name.to_string(), (bench.build)())
@@ -505,8 +505,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| usage(format!("bad --threads: {e}")))?;
     }
     if quick {
-        // Match the bench harness's --quick setup so sweep baselines and
-        // BENCH baselines measure the same configuration.
+        // Enumeration classifies don't-cares exactly like SAT, only faster;
+        // the checked-in `SWEEP_*.json` quick baselines were recorded with
+        // it.
         config.dont_care.method = als::dontcare::DontCareMethod::Enumerate;
     }
 
@@ -543,8 +544,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_check(args: &[String]) -> Result<(), CliError> {
-    let path = *positionals(Some("check"), args)?
+fn cmd_check(pos: &[&str], args: &[String]) -> Result<(), CliError> {
+    let path = *pos
         .first()
         .ok_or_else(|| usage("check needs a BLIF file"))?;
     let net = read_network_unchecked(path)?;
@@ -646,8 +647,8 @@ fn report_to_json(report: &als::check::AnalysisReport) -> Json {
 /// paper's independent-uniform input model; with `--golden` they are sound
 /// per-output (and combined) error-rate intervals of the network against
 /// the golden function.
-fn cmd_bound(args: &[String]) -> Result<(), CliError> {
-    let path = *positionals(Some("bound"), args)?
+fn cmd_bound(pos: &[&str], args: &[String]) -> Result<(), CliError> {
+    let path = *pos
         .first()
         .ok_or_else(|| usage("bound needs a BLIF file"))?;
     let net = read_network(path)?;
@@ -718,13 +719,10 @@ fn cmd_bound(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), CliError> {
-    let golden_path = args
-        .first()
-        .ok_or_else(|| usage("verify needs <golden.blif> <approx.blif>"))?;
-    let approx_path = args
-        .get(1)
-        .ok_or_else(|| usage("verify needs <golden.blif> <approx.blif>"))?;
+fn cmd_verify(pos: &[&str], args: &[String]) -> Result<(), CliError> {
+    let [golden_path, approx_path, ..] = *pos else {
+        return Err(usage("verify needs <golden.blif> <approx.blif>"));
+    };
     let golden = read_network(golden_path)?;
     let approx = read_network(approx_path)?;
     if golden.num_pis() != approx.num_pis() || golden.num_pos() != approx.num_pos() {
@@ -764,8 +762,8 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_verilog(args: &[String]) -> Result<(), CliError> {
-    let path = args
+fn cmd_verilog(pos: &[&str], args: &[String]) -> Result<(), CliError> {
+    let path = *pos
         .first()
         .ok_or_else(|| usage("verilog needs a BLIF file"))?;
     let net = read_network(path)?;
@@ -782,13 +780,10 @@ fn cmd_verilog(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_cec(args: &[String]) -> Result<(), CliError> {
-    let a_path = args
-        .first()
-        .ok_or_else(|| usage("cec needs <a.blif> <b.blif>"))?;
-    let b_path = args
-        .get(1)
-        .ok_or_else(|| usage("cec needs <a.blif> <b.blif>"))?;
+fn cmd_cec(pos: &[&str]) -> Result<(), CliError> {
+    let [a_path, b_path, ..] = *pos else {
+        return Err(usage("cec needs <a.blif> <b.blif>"));
+    };
     let a = read_network(a_path)?;
     let b = read_network(b_path)?;
     let result = cec(&a, &b);
@@ -799,8 +794,8 @@ fn cmd_cec(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_simplify(args: &[String]) -> Result<(), CliError> {
-    let path = args
+fn cmd_simplify(pos: &[&str], args: &[String]) -> Result<(), CliError> {
+    let path = *pos
         .first()
         .ok_or_else(|| usage("simplify needs a BLIF file"))?;
     let mut net = read_network(path)?;
@@ -850,8 +845,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::from(format!("serve: {e}")))
 }
 
-fn cmd_map(args: &[String]) -> Result<(), CliError> {
-    let path = args.first().ok_or_else(|| usage("map needs a BLIF file"))?;
+fn cmd_map(pos: &[&str]) -> Result<(), CliError> {
+    let path = *pos.first().ok_or_else(|| usage("map needs a BLIF file"))?;
     let net = read_network(path)?;
     let lib = Library::mcnc_like();
     let mapped = map_network(&net, &lib);

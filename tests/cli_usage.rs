@@ -5,8 +5,15 @@
 //! subcommand invoked with missing/bad arguments must exit 2 with a usage
 //! error, and the advertised set must match the dispatcher's set exactly —
 //! so the help text can never silently drift from `main`'s match again.
+//! Last, a real `als serve` process must answer a cold→warm job pair over
+//! TCP and exit cleanly on `shutdown`.
 
-use std::process::{Command, Output};
+use als::telemetry::Json;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Output, Stdio};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Every subcommand `main` dispatches. Keep in sync with the dispatcher —
 /// the first test fails if the help text and this list ever disagree.
@@ -196,4 +203,149 @@ fn unknown_flags_exit_2_on_every_subcommand() {
         "256",
     ]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn flags_may_come_before_the_input_paths() {
+    let golden = tmp_path("flags_first_ksa32.blif");
+    assert!(als(&["gen", "KSA32", "-o", &golden]).status.success());
+    let path_first = als(&[
+        "approximate",
+        &golden,
+        "--threshold",
+        "0.05",
+        "--patterns",
+        "fixed:256",
+    ]);
+    let flags_first = als(&[
+        "approximate",
+        "--threshold",
+        "0.05",
+        "--patterns",
+        "fixed:256",
+        &golden,
+    ]);
+    assert!(path_first.status.success());
+    assert!(flags_first.status.success(), "{flags_first:?}");
+    assert_eq!(path_first.stdout, flags_first.stdout);
+
+    let approx = tmp_path("flags_first_ksa32_approx.blif");
+    std::fs::write(&approx, &path_first.stdout).expect("write approximate BLIF");
+    let path_first = als(&["verify", &golden, &approx, "--patterns", "1024"]);
+    let flags_first = als(&["verify", "--patterns", "1024", &golden, &approx]);
+    assert!(path_first.status.success());
+    assert!(flags_first.status.success(), "{flags_first:?}");
+    assert_eq!(path_first.stdout, flags_first.stdout);
+}
+
+/// A spawned `als serve` that is killed and reaped when dropped, so a
+/// failing assertion never leaves the daemon running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        // The daemon may already have exited; either way it is reaped.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Reads frames until `type` is `want`, skipping `accepted`/`progress`.
+fn await_frame(reader: &mut BufReader<TcpStream>, want: &str) -> Json {
+    loop {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("daemon frame in time");
+        assert!(n > 0, "daemon hung up while waiting for `{want}`");
+        let frame = Json::parse(line.trim_end()).expect("frames are JSON");
+        match frame.get("type").and_then(Json::as_str) {
+            Some(t) if t == want => return frame,
+            Some("accepted" | "progress") => {}
+            _ => panic!("expected a `{want}` frame, got {line}"),
+        }
+    }
+}
+
+fn field<'a>(frame: &'a Json, path: &[&str]) -> &'a Json {
+    path.iter().fold(frame, |j, key| {
+        j.get(key)
+            .unwrap_or_else(|| panic!("frame lacks `{}`: {}", path.join("."), frame.render()))
+    })
+}
+
+#[test]
+fn serve_process_answers_a_cold_then_warm_job_over_tcp() {
+    const TIMEOUT: Duration = Duration::from_secs(10);
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_als"))
+            .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn als serve"),
+    );
+
+    // The bound port is only known from the banner. A reader thread passes
+    // the banner on, then drains stderr until the daemon exits, so the
+    // test can wait on the banner with a timeout.
+    let stderr = daemon.0.stderr.take().expect("piped stderr");
+    let (banner_tx, banner_rx) = mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            let _ = banner_tx.send(line);
+        }
+    });
+    let banner = banner_rx.recv_timeout(TIMEOUT).expect("serve banner");
+    let addr: SocketAddr = banner
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in banner `{banner}`"));
+
+    let stream = TcpStream::connect_timeout(&addr, TIMEOUT).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    stream
+        .set_write_timeout(Some(TIMEOUT))
+        .expect("write timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+
+    // Same circuit and stimulus, new threshold: the warm job reruns only
+    // the selection loop, with every artifact served from the cache.
+    let mut job = |id: &str, threshold: f64| {
+        writeln!(
+            writer,
+            r#"{{"v":1,"type":"synthesize","id":"{id}","circuit":{{"bench":"MUL8"}},"threshold":{threshold},"algorithm":"multi","seed":7,"patterns":"fixed:256"}}"#
+        )
+        .expect("send job");
+        let result = await_frame(&mut reader, "result");
+        assert_eq!(field(&result, &["status"]).as_str(), Some("done"));
+        result
+    };
+    let cold = job("cold", 0.01);
+    let warm = job("warm", 0.05);
+    let misses = |frame: &Json| field(frame, &["metrics", "artifact_cache_misses"]).as_u64();
+    assert!(misses(&cold) > Some(0), "the cold job must miss the cache");
+    assert_eq!(misses(&warm), Some(0), "the warm job missed the cache");
+    assert_eq!(field(&warm, &["timings", "parse_s"]).as_f64(), Some(0.0));
+    assert_eq!(field(&warm, &["timings", "context_s"]).as_f64(), Some(0.0));
+
+    writeln!(writer, r#"{{"v":1,"type":"shutdown"}}"#).expect("send shutdown");
+    await_frame(&mut reader, "bye");
+    let deadline = Instant::now() + TIMEOUT;
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("poll daemon") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon still running after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "daemon exited with {status}");
+    drain.join().expect("stderr drain thread");
 }

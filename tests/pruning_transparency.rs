@@ -17,8 +17,25 @@ use als::circuits::adders::ripple_carry_adder;
 use als::circuits::alu::adder_comparator;
 use als::circuits::misc::priority_encoder;
 use als::network::{blif, Network};
+use als::telemetry::{Json, JsonlSink, Telemetry};
 use als::{approximate, AlsConfig, AlsOutcome, PatternPolicy, PrunePolicy, Strategy};
 use als_bench::PAPER_THRESHOLDS;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
+
+/// A `Write` handle into a shared buffer, so the test can read back what
+/// the sink (which owns its writer) wrote.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 /// Everything observable about an outcome except engine metrics and
 /// wall-clock time, as one comparable string.
@@ -118,18 +135,36 @@ fn sasimi_is_unaffected_by_the_prune_knob() {
 /// The simulations-avoided measure is live where it matters: the paper's
 /// tightest threshold on a 32-bit adder leaves a budget so small that the
 /// static lower bounds discard whole nodes' candidate lists before any
-/// local-pattern gather runs.
+/// local-pattern gather runs. The event log carries the pruning counts on
+/// its `engine_refresh` lines, one line per refresh rather than one per
+/// pruned candidate.
 #[test]
 fn tightest_threshold_on_a_wide_adder_skips_simulations() {
     let net = ripple_carry_adder(32);
+    let buf = SharedBuf::default();
     let config = AlsConfig::builder()
         .threshold(PAPER_THRESHOLDS[0])
         .patterns(PatternPolicy::Fixed(2048))
         .seed(41)
         .pruning(PrunePolicy::Static)
+        .telemetry(Telemetry::from(Arc::new(JsonlSink::new(buf.clone()))))
         .build()
         .expect("test config is valid");
     let out = approximate(&net, Strategy::Multi, &config).unwrap();
+    let log = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf8 jsonl");
+    let mut logged_pruned = 0u64;
+    for line in log.lines() {
+        let event = Json::parse(line).expect("every log line is JSON");
+        let name = event.get("event").and_then(Json::as_str);
+        assert_ne!(name, Some("candidate_pruned"), "per-candidate line: {line}");
+        if name == Some("engine_refresh") {
+            logged_pruned += event
+                .get("candidates_pruned")
+                .and_then(Json::as_u64)
+                .expect("engine_refresh carries candidates_pruned");
+        }
+    }
+    assert_eq!(logged_pruned, out.metrics.candidates_pruned);
     assert!(
         out.metrics.candidates_pruned > 0,
         "expected static pruning on RCA32 at threshold {}",
