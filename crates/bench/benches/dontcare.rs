@@ -1,5 +1,5 @@
-//! Microbench: SDC/ODC computation cost — enumeration vs. SAT engines and
-//! the window-size knob (DESIGN.md §4.4).
+//! Microbench: SDC/ODC computation cost — enumeration vs. SAT vs. `Auto`
+//! engines and the window-size knob (DESIGN.md §4.4).
 
 use als_circuits::ripple_carry_adder;
 use als_dontcare::{compute_dont_cares, DontCareConfig, DontCareMethod};
@@ -13,6 +13,7 @@ fn bench_dontcare(c: &mut Criterion) {
     for (label, method) in [
         ("enumerate", DontCareMethod::Enumerate),
         ("sat", DontCareMethod::Sat),
+        ("auto", DontCareMethod::Auto),
     ] {
         for levels in [1usize, 2] {
             let config = DontCareConfig {

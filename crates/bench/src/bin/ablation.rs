@@ -14,11 +14,12 @@ struct Variant {
 }
 
 fn main() {
+    als_bench::reject_unknown_flags(&["--quick"]);
     let quick = std::env::args().any(|a| a == "--quick");
     let circuits = ["c1908", "alu4", "KSA32"];
     let variants: Vec<Variant> = vec![
         Variant {
-            label: "baseline (2x2 SAT DCs)",
+            label: "baseline (2x2 Auto DCs)",
             configure: |_| {},
         },
         Variant {
@@ -42,6 +43,10 @@ fn main() {
         Variant {
             label: "enumeration engine",
             configure: |c| c.dont_care.method = DontCareMethod::Enumerate,
+        },
+        Variant {
+            label: "SAT engine",
+            configure: |c| c.dont_care.method = DontCareMethod::Sat,
         },
         Variant {
             label: "no preprocess",

@@ -10,6 +10,7 @@ use als_bench::{run_one, Algorithm, PAPER_THRESHOLDS, QUICK_THRESHOLDS};
 use als_circuits::all_benchmarks;
 
 fn main() {
+    als_bench::reject_unknown_flags(&["--quick", "--circuit", "--csv"]);
     let (quick, filter) = als_bench::parse_common_args();
     let csv = std::env::args().any(|a| a == "--csv");
     // Figure 2 includes the zero-threshold point (where some circuits still

@@ -10,6 +10,7 @@ use als_bench::{run_one, Algorithm};
 use als_circuits::alu::adder_comparator;
 
 fn main() {
+    als_bench::reject_unknown_flags(&["--quick", "--threads"]);
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = als_bench::parse_threads().unwrap_or_else(|e| als_bench::exit_with_error(&e));
     let widths: &[usize] = if quick {

@@ -13,6 +13,7 @@ use als_bench::{
 };
 
 fn main() {
+    als_bench::reject_unknown_flags(&["--quick", "--circuit", "--threads", "--csv"]);
     let (quick, filter) = als_bench::parse_common_args();
     let threads = als_bench::parse_threads().unwrap_or_else(|e| exit_with_error(&e));
     let csv = std::env::args().any(|a| a == "--csv");

@@ -168,6 +168,31 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp() // lint:allow(as-cast): counts << 2^52, exact in f64
 }
 
+/// Exits with a usage error, before any work starts, if the command line
+/// holds a `--flag` outside `accepted`; the error lists the accepted flags.
+/// The flag-taking experiment binaries (`table4`, `figure2`, `scaling`,
+/// `ablation`) call it first, so a mistyped or retired flag fails loudly
+/// instead of being ignored.
+pub fn reject_unknown_flags(accepted: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args, accepted) {
+        exit_with_error(&e);
+    }
+}
+
+fn check_flags(args: &[String], accepted: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+    {
+        Some(flag) => Err(format!(
+            "unknown flag `{flag}`; accepted flags: {}",
+            accepted.join(", ")
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Parses the common CLI flags of the bench binaries: `--quick`, and an
 /// optional `--circuit <name>` filter. Returns `(quick, circuit_filter)`.
 pub fn parse_common_args() -> (bool, Option<String>) {
@@ -230,6 +255,16 @@ pub fn exit_with_error(err: &str) -> ! {
 mod tests {
     use super::*;
     use als_circuits::adders::ripple_carry_adder;
+
+    #[test]
+    fn unknown_flags_are_named_with_the_accepted_ones() {
+        let args = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let accepted = ["--quick", "--circuit"];
+        assert!(check_flags(&args(&["--quick", "--circuit", "RCA32"]), &accepted).is_ok());
+        let err = check_flags(&args(&["--quick", "--json"]), &accepted).unwrap_err();
+        assert!(err.contains("`--json`"), "{err}");
+        assert!(err.contains("--quick, --circuit"), "{err}");
+    }
 
     #[test]
     fn geomean_basics() {

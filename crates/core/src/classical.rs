@@ -5,7 +5,7 @@
 //! the ASE-based algorithms, the *global* network function never changes.
 
 use crate::AlsConfig;
-use als_dontcare::{DontCareConfig, IncrementalClassifier};
+use als_dontcare::{compute_dont_cares, DontCareConfig};
 use als_logic::factor::factor_cover;
 use als_logic::minimize::minimize_exactish;
 use als_logic::TruthTable;
@@ -27,9 +27,9 @@ pub fn simplify_with_dont_cares(net: &mut Network, config: &DontCareConfig) -> u
         .into_iter()
         .filter(|&id| !net.node(id).is_pi())
         .collect();
-    // One SAT classifier serves the entire single-threaded pass: the
-    // classifier holds no network state, so interleaved rewrites are fine.
-    let mut classifier = IncrementalClassifier::new(config.reuse);
+    // Each node is classified against the current network: small windows
+    // are enumerated and wider ones get a SAT solver of their own, so the
+    // rewrites made so far are always seen.
     for id in order {
         if !net.is_live(id) {
             continue;
@@ -44,7 +44,7 @@ pub fn simplify_with_dont_cares(net: &mut Network, config: &DontCareConfig) -> u
             continue;
         }
         let tt = node.cover().to_truth_table();
-        let dc = classifier.compute(net, id, config);
+        let dc = compute_dont_cares(net, id, config);
         let mut dc_tt = TruthTable::zero(k).expect("fanin count bounded"); // lint:allow(panic): variable count validated by the caller
         for v in 0..(1u64 << k) {
             if dc.is_dont_care(v as usize) {

@@ -88,8 +88,8 @@ const PRUNE_EPS: f64 = 1e-9;
 const MIN_NODES_PER_WORKER: usize = 8;
 
 /// Work-queue chunk size: big enough to keep the atomic counter off the hot
-/// path, small enough to balance uneven per-node costs (SAT-based don't-care
-/// queries vary widely).
+/// path, small enough to balance uneven per-node costs (don't-care
+/// classification of wide windows varies widely).
 const QUEUE_CHUNK: usize = 8;
 
 /// The candidate-evaluation engine. One instance lives for one synthesis
@@ -255,14 +255,15 @@ impl CandidateEngine {
                 nodes_skipped += usize::from(outcome.gather_skipped);
                 self.cache.entries.insert(id, outcome.entry);
             }
-            // Worker-side SAT counters are plain sums over chunk-scoped
-            // classifiers, so the aggregate (emitted here, post-merge) is
-            // identical for every thread count.
+            // Worker-side SAT counters are plain sums over per-window
+            // solvers, so the aggregate (emitted here, post-merge) is
+            // identical for every thread count. No solver outlives its
+            // window, so no clause is ever retracted.
             if !sat_stats.is_empty() {
                 self.telemetry.emit(|| Event::SatActivity {
                     sat_queries: sat_stats.sat_queries,
                     solver_instances: sat_stats.solver_instances,
-                    clauses_retracted: sat_stats.clauses_retracted,
+                    clauses_retracted: 0,
                 });
             }
         }
@@ -424,11 +425,10 @@ impl NodeOutcome {
 /// worthwhile; results come back sorted by node id so insertion order (and
 /// thus every downstream float reduction) is independent of thread count.
 ///
-/// SAT-based don't-care classification runs through one
-/// [`IncrementalClassifier`] per work *chunk* (not per worker): the chunk is
-/// the scheduling unit, so solver-instance counts depend only on the chunk
-/// contents — identical for every thread count — and the returned
-/// [`SolverStats`] are plain sums that commute across workers.
+/// Each worker classifies don't-cares through an [`IncrementalClassifier`]
+/// of its own. The classifier builds one solver per window and only sums
+/// the SAT work, so the returned [`SolverStats`] count each node's windows
+/// once whichever worker took it, and are the same for every thread count.
 fn evaluate_all(
     net: &Network,
     sim: SimView<'_>,
@@ -441,56 +441,37 @@ fn evaluate_all(
     let workers = threads
         .min(pending.len().div_ceil(MIN_NODES_PER_WORKER))
         .max(1);
-    let reuse = config.dont_care.reuse;
-    let eval = |id: NodeId, sig: u64, classifier: &mut IncrementalClassifier| {
-        evaluate_node(
-            net,
-            sim,
-            config,
-            needs_dont_cares,
-            budget,
-            classifier,
-            id,
-            sig,
-        )
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut classifier = IncrementalClassifier::new(config.dont_care.reuse);
+        let mut part = Vec::new();
+        loop {
+            let start = next.fetch_add(QUEUE_CHUNK, Ordering::Relaxed);
+            if start >= pending.len() {
+                break;
+            }
+            let end = (start + QUEUE_CHUNK).min(pending.len());
+            for &(id, sig) in &pending[start..end] {
+                let outcome = evaluate_node(
+                    net,
+                    sim,
+                    config,
+                    needs_dont_cares,
+                    budget,
+                    &mut classifier,
+                    id,
+                    sig,
+                );
+                part.push((id, outcome));
+            }
+        }
+        (part, classifier.stats())
     };
     let (mut out, sat_stats) = if workers <= 1 {
-        let mut out: Vec<(NodeId, NodeOutcome)> = Vec::with_capacity(pending.len());
-        let mut stats = SolverStats::default();
-        for chunk in pending.chunks(QUEUE_CHUNK) {
-            let mut classifier = IncrementalClassifier::new(reuse);
-            for &(id, sig) in chunk {
-                out.push((id, eval(id, sig, &mut classifier)));
-            }
-            stats.merge(&classifier.stats());
-        }
-        (out, stats)
+        work()
     } else {
-        let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let eval = &eval;
-                    scope.spawn(move || {
-                        let mut part = Vec::new();
-                        let mut stats = SolverStats::default();
-                        loop {
-                            let start = next.fetch_add(QUEUE_CHUNK, Ordering::Relaxed);
-                            if start >= pending.len() {
-                                break;
-                            }
-                            let end = (start + QUEUE_CHUNK).min(pending.len());
-                            let mut classifier = IncrementalClassifier::new(reuse);
-                            for &(id, sig) in &pending[start..end] {
-                                part.push((id, eval(id, sig, &mut classifier)));
-                            }
-                            stats.merge(&classifier.stats());
-                        }
-                        (part, stats)
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
             let mut out = Vec::new();
             let mut stats = SolverStats::default();
             for h in handles {

@@ -1,33 +1,36 @@
-use crate::encode::{encode_node_cnf, encode_node_cnf_in};
+use crate::encode::encode_node_cnf;
 use crate::window::Window;
 use als_network::{Network, NodeId};
-use als_sat::{Group, Lit, SatResult, Solver, Var};
+use als_sat::{Lit, SatResult, Solver, Var};
 use std::collections::{HashMap, HashSet};
 
 /// Which engine classifies the pivot's local input patterns.
+///
+/// Both engines give the same answer on every window they accept: the
+/// classification is a semantic property of the window, so the choice only
+/// moves the cost.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DontCareMethod {
+    /// [`Enumerate`](DontCareMethod::Enumerate) on windows with at most
+    /// `max_enumerated_leaves` leaves, [`Sat`](DontCareMethod::Sat) above
+    /// that. The window decides the engine, so no window gives up.
+    #[default]
+    Auto,
     /// Exhaustively enumerate window-leaf assignments (exact within the
     /// window; requires few leaves).
     Enumerate,
     /// Per-pattern SAT queries on a duplicated-window miter — the paper's
     /// configuration ("SAT-based computation method", §3.3).
-    #[default]
     Sat,
 }
 
-/// How the SAT engine amortizes solver state across window sweeps (ignored
-/// by [`DontCareMethod::Enumerate`]).
+/// Solver policy of the SAT engine. Every window gets a solver of its own;
+/// the one value stays so that callers which build a classifier from
+/// [`DontCareConfig::reuse`] (the `benchmark/` replays do) keep compiling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SolverReuse {
-    /// One persistent solver serves many windows through an
-    /// [`IncrementalClassifier`]: each window's miter lives in a retractable
-    /// clause group, and phases / activities / surviving learnt clauses
-    /// carry across windows.
+    /// A fresh solver per window.
     #[default]
-    Incremental,
-    /// A fresh solver per window — the byte-identity oracle the incremental
-    /// path is validated against.
     Fresh,
 }
 
@@ -40,12 +43,11 @@ pub struct DontCareConfig {
     pub levels_out: usize,
     /// The engine to use.
     pub method: DontCareMethod,
-    /// Solver-reuse policy for the SAT engine (honoured by callers that keep
-    /// an [`IncrementalClassifier`] alive across nodes; the stateless
-    /// [`compute_dont_cares`] entry point is always effectively fresh).
+    /// Solver policy of the SAT engine (one value: a solver per window).
     pub reuse: SolverReuse,
-    /// Enumeration gives up (returning empty don't-care sets, which is
-    /// sound) when the window has more than this many leaves.
+    /// [`DontCareMethod::Auto`] enumerates windows with at most this many
+    /// leaves; [`DontCareMethod::Enumerate`] gives up (returning empty
+    /// don't-care sets, which is sound) above it.
     pub max_enumerated_leaves: usize,
     /// Pattern classification is skipped for nodes with more fanins than
     /// this (returning empty sets).
@@ -66,19 +68,12 @@ impl Default for DontCareConfig {
 }
 
 /// Counters describing the SAT work done by don't-care classification.
-///
-/// `solver_instances` counts solvers actually *constructed and used* for
-/// queries; with [`SolverReuse::Incremental`] it stays far below
-/// `sat_queries` (one instance serves many windows × patterns), which is
-/// exactly the reuse ratio the benchmark gate watches.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SolverStats {
     /// Individual `solve_with_assumptions` calls issued.
     pub sat_queries: u64,
-    /// Solver instances that served at least one query.
+    /// Solver instances built: one per window the SAT engine classified.
     pub solver_instances: u64,
-    /// Clauses physically swept by group retraction.
-    pub clauses_retracted: u64,
 }
 
 impl SolverStats {
@@ -86,12 +81,11 @@ impl SolverStats {
     pub fn merge(&mut self, other: &SolverStats) {
         self.sat_queries += other.sat_queries;
         self.solver_instances += other.solver_instances;
-        self.clauses_retracted += other.clauses_retracted;
     }
 
     /// Whether no SAT work was recorded at all.
     pub fn is_empty(&self) -> bool {
-        self.sat_queries == 0 && self.solver_instances == 0 && self.clauses_retracted == 0
+        self.sat_queries == 0 && self.solver_instances == 0
     }
 }
 
@@ -186,19 +180,27 @@ impl DontCares {
 ///
 /// Panics if `pivot` is not a live internal node.
 pub fn compute_dont_cares(net: &Network, pivot: NodeId, config: &DontCareConfig) -> DontCares {
+    classify(net, pivot, config, &mut SolverStats::default())
+}
+
+/// The one classification path behind [`compute_dont_cares`] and
+/// [`IncrementalClassifier::compute`]; SAT work is counted into `stats`.
+fn classify(
+    net: &Network,
+    pivot: NodeId,
+    config: &DontCareConfig,
+    stats: &mut SolverStats,
+) -> DontCares {
     let k = net.node(pivot).fanins().len();
     if k > config.max_fanins {
         return DontCares::none(k);
     }
     let window = Window::build(net, pivot, config.levels_in, config.levels_out);
+    let small = window.leaves().len() <= config.max_enumerated_leaves;
     match config.method {
-        DontCareMethod::Enumerate => {
-            if window.leaves().len() > config.max_enumerated_leaves {
-                return DontCares::none(k);
-            }
-            enumerate(net, &window, k)
-        }
-        DontCareMethod::Sat => sat_classify(net, &window, k),
+        DontCareMethod::Auto | DontCareMethod::Enumerate if small => enumerate(net, &window, k),
+        DontCareMethod::Enumerate => DontCares::none(k),
+        DontCareMethod::Auto | DontCareMethod::Sat => sat_classify(net, &window, k, stats),
     }
 }
 
@@ -359,24 +361,8 @@ struct WindowMiter {
     any_diff: Var,
 }
 
-/// Encodes the duplicated-window miter for `window` into `solver`. With a
-/// `group`, every clause carries the group's activation literal so the whole
-/// miter can later be retracted; variables are global either way.
-fn encode_window_miter(
-    solver: &mut Solver,
-    group: Option<Group>,
-    net: &Network,
-    window: &Window,
-) -> WindowMiter {
-    let emit = |solver: &mut Solver, clause: &[Lit]| match group {
-        Some(g) => solver.add_clause_in(g, clause),
-        None => solver.add_clause(clause),
-    };
-    let encode = |solver: &mut Solver, n: NodeId, vars: &HashMap<NodeId, Var>, v: Var| match group {
-        Some(g) => encode_node_cnf_in(solver, g, net, n, vars, v),
-        None => encode_node_cnf(solver, net, n, vars, v),
-    };
-
+/// Encodes the duplicated-window miter for `window` into `solver`.
+fn encode_window_miter(solver: &mut Solver, net: &Network, window: &Window) -> WindowMiter {
     // Original copy.
     let mut vars: HashMap<NodeId, Var> = HashMap::new();
     for &l in window.leaves() {
@@ -384,7 +370,7 @@ fn encode_window_miter(
     }
     for &n in window.internals() {
         let v = solver.new_var();
-        encode(solver, n, &vars, v);
+        encode_node_cnf(solver, net, n, &vars, v);
         vars.insert(n, v);
     }
 
@@ -393,14 +379,8 @@ fn encode_window_miter(
     // re-encoded against the flipped values.
     let mut fvars: HashMap<NodeId, Var> = vars.clone();
     let pivot_flip = solver.new_var();
-    emit(
-        solver,
-        &[Lit::pos(vars[&window.pivot()]), Lit::pos(pivot_flip)],
-    );
-    emit(
-        solver,
-        &[Lit::neg(vars[&window.pivot()]), Lit::neg(pivot_flip)],
-    );
+    solver.add_clause(&[Lit::pos(vars[&window.pivot()]), Lit::pos(pivot_flip)]);
+    solver.add_clause(&[Lit::neg(vars[&window.pivot()]), Lit::neg(pivot_flip)]);
     fvars.insert(window.pivot(), pivot_flip);
     // Re-encode every internal node downstream of the pivot (in window topo
     // order, anything whose fanin cone inside the window reaches the pivot).
@@ -413,7 +393,7 @@ fn encode_window_miter(
         if net.node(n).fanins().iter().any(|f| touched.contains(f)) {
             touched.insert(n);
             let v = solver.new_var();
-            encode(solver, n, &fvars, v);
+            encode_node_cnf(solver, net, n, &fvars, v);
             fvars.insert(n, v);
         }
     }
@@ -426,23 +406,14 @@ fn encode_window_miter(
         }
         let d = solver.new_var();
         // d → (r ⊕ r')
-        emit(
-            solver,
-            &[Lit::neg(d), Lit::pos(vars[&r]), Lit::pos(fvars[&r])],
-        );
-        emit(
-            solver,
-            &[Lit::neg(d), Lit::neg(vars[&r]), Lit::neg(fvars[&r])],
-        );
+        solver.add_clause(&[Lit::neg(d), Lit::pos(vars[&r]), Lit::pos(fvars[&r])]);
+        solver.add_clause(&[Lit::neg(d), Lit::neg(vars[&r]), Lit::neg(fvars[&r])]);
         diff_lits.push(Lit::pos(d));
     }
     let any_diff = solver.new_var();
-    {
-        // any_diff → OR(diff)
-        let mut clause: Vec<Lit> = diff_lits.clone();
-        clause.push(Lit::neg(any_diff));
-        emit(solver, &clause);
-    }
+    // any_diff → OR(diff)
+    diff_lits.push(Lit::neg(any_diff));
+    solver.add_clause(&diff_lits);
 
     let pivot_fanins: Vec<Var> = net
         .node(window.pivot())
@@ -456,16 +427,14 @@ fn encode_window_miter(
     }
 }
 
-/// Classifies every local pattern of the pivot against an encoded miter.
-/// This single body serves both the fresh-solver path (`activation: None`)
-/// and the incremental path (`activation: Some(group_lit)`), so the two are
-/// identical by construction — the SDC/ODC answers are semantic properties
-/// of the miter, independent of solver state carried over from earlier
-/// windows.
+/// Classifies every local pattern of the pivot against an encoded miter,
+/// observability first: a pattern that can reach the pivot *and* flip a root
+/// is a care pattern after one query, and only the patterns that cannot
+/// (usually the few don't-cares) pay for the reachability query that tells
+/// an SDC from an ODC.
 fn classify_with_miter(
     solver: &mut Solver,
     miter: &WindowMiter,
-    activation: Option<Lit>,
     k: usize,
     stats: &mut SolverStats,
 ) -> DontCares {
@@ -473,23 +442,24 @@ fn classify_with_miter(
     let mut odc = vec![false; 1 << k];
     // One assumption buffer reused across all 2^k patterns (and both query
     // kinds), instead of fresh allocations per query.
-    let mut assumptions: Vec<Lit> = Vec::with_capacity(usize::from(activation.is_some()) + k + 1);
+    let mut assumptions: Vec<Lit> = Vec::with_capacity(k + 1);
     for v in 0..(1usize << k) {
         assumptions.clear();
-        assumptions.extend(activation);
         for (i, &fv) in miter.pivot_fanins.iter().enumerate() {
             assumptions.push(Lit::with_sign(fv, v >> i & 1 == 1));
         }
-        // Reachable in the window?
+        // Observable? Some leaf assignment produces v with a differing root.
+        assumptions.push(Lit::pos(miter.any_diff));
+        stats.sat_queries += 1;
+        if solver.solve_with_assumptions(&assumptions) == SatResult::Sat {
+            continue;
+        }
+        // Unobservable: reachable in the window (ODC) or not at all (SDC)?
+        assumptions.pop();
         stats.sat_queries += 1;
         if solver.solve_with_assumptions(&assumptions) == SatResult::Unsat {
             sdc[v] = true;
-            continue;
-        }
-        // Observable? exists leaf assignment producing v with a differing root.
-        assumptions.push(Lit::pos(miter.any_diff));
-        stats.sat_queries += 1;
-        if solver.solve_with_assumptions(&assumptions) == SatResult::Unsat {
+        } else {
             odc[v] = true;
         }
     }
@@ -500,115 +470,50 @@ fn classify_with_miter(
     }
 }
 
-/// SAT-based classification on a duplicated-window miter (fresh solver).
-fn sat_classify(net: &Network, window: &Window, k: usize) -> DontCares {
-    let mut stats = SolverStats::default();
+/// SAT-based classification on a duplicated-window miter, in a solver of the
+/// window's own. Sharing one across windows would not pay: retraction frees
+/// clauses but not variables, and the decision scan and every satisfying
+/// assignment cost time linear in the variable count, so each window would
+/// pay for all the earlier ones.
+fn sat_classify(net: &Network, window: &Window, k: usize, stats: &mut SolverStats) -> DontCares {
     let mut solver = Solver::new();
-    let miter = encode_window_miter(&mut solver, None, net, window);
-    classify_with_miter(&mut solver, &miter, None, k, &mut stats)
+    let miter = encode_window_miter(&mut solver, net, window);
+    stats.solver_instances += 1;
+    classify_with_miter(&mut solver, &miter, k, stats)
 }
 
-/// Recycle the persistent solver once it holds this many variables:
-/// retraction reclaims clauses but variables are never freed, so a very long
-/// sweep would otherwise degrade the (linear-scan) decision heuristic.
-const SOLVER_VAR_BUDGET: usize = 20_000;
-
-/// A stateful don't-care classifier that amortizes one SAT solver across an
-/// entire sweep of windows.
+/// Classifies a sweep of windows and counts the SAT work it issued.
 ///
-/// Each [`compute`](IncrementalClassifier::compute) call encodes the
-/// window's miter into a retractable clause group, answers the same
-/// pattern-classification queries as [`compute_dont_cares`] under the
-/// group's activation literal, and retracts the group before returning —
-/// so solver construction, arena growth, and heuristic warm-up are paid once
-/// per sweep instead of once per node. Classification results are identical
-/// to the stateless path by construction (the query body is shared and the
-/// answers are semantic).
-///
-/// With [`SolverReuse::Fresh`] the classifier degenerates to one solver per
-/// window, which is the oracle the differential tests compare against.
-#[derive(Debug)]
+/// [`compute`](IncrementalClassifier::compute) answers exactly like
+/// [`compute_dont_cares`] (both run one classification path); the classifier
+/// only sums the [`SolverStats`] across the calls, so callers can report the
+/// SAT work of a whole sweep.
+#[derive(Debug, Default)]
 pub struct IncrementalClassifier {
-    reuse: SolverReuse,
-    solver: Solver,
-    used: bool,
     stats: SolverStats,
 }
 
 impl IncrementalClassifier {
-    /// Creates a classifier with the given reuse policy.
-    pub fn new(reuse: SolverReuse) -> Self {
-        IncrementalClassifier {
-            reuse,
-            solver: Solver::new(),
-            used: false,
-            stats: SolverStats::default(),
-        }
+    /// Creates a classifier with zeroed counters. There is one
+    /// [`SolverReuse`] policy, a solver per window.
+    pub fn new(_reuse: SolverReuse) -> Self {
+        IncrementalClassifier::default()
     }
 
     /// Classifies every local input pattern of `pivot`, exactly like
-    /// [`compute_dont_cares`] but reusing this classifier's solver according
-    /// to its [`SolverReuse`] policy. `config.reuse` is ignored here — the
-    /// policy was fixed at construction.
+    /// [`compute_dont_cares`], and adds the SAT work to this classifier's
+    /// counters.
     ///
     /// # Panics
     ///
     /// Panics if `pivot` is not a live internal node.
     pub fn compute(&mut self, net: &Network, pivot: NodeId, config: &DontCareConfig) -> DontCares {
-        let k = net.node(pivot).fanins().len();
-        if k > config.max_fanins {
-            return DontCares::none(k);
-        }
-        let window = Window::build(net, pivot, config.levels_in, config.levels_out);
-        match config.method {
-            DontCareMethod::Enumerate => {
-                if window.leaves().len() > config.max_enumerated_leaves {
-                    return DontCares::none(k);
-                }
-                enumerate(net, &window, k)
-            }
-            DontCareMethod::Sat => match self.reuse {
-                SolverReuse::Fresh => {
-                    self.solver = Solver::new();
-                    self.stats.solver_instances += 1;
-                    let miter = encode_window_miter(&mut self.solver, None, net, &window);
-                    classify_with_miter(&mut self.solver, &miter, None, k, &mut self.stats)
-                }
-                SolverReuse::Incremental => {
-                    if !self.solver.is_ok() || self.solver.num_vars() > SOLVER_VAR_BUDGET {
-                        self.solver = Solver::new();
-                        self.used = false;
-                    }
-                    if !self.used {
-                        self.used = true;
-                        self.stats.solver_instances += 1;
-                    }
-                    let g = self.solver.new_group();
-                    let miter = encode_window_miter(&mut self.solver, Some(g), net, &window);
-                    let dc = classify_with_miter(
-                        &mut self.solver,
-                        &miter,
-                        Some(g.lit()),
-                        k,
-                        &mut self.stats,
-                    );
-                    let swept = self.solver.retract(g);
-                    self.stats.clauses_retracted += swept as u64; // lint:allow(as-cast): usize widens losslessly to u64
-                    dc
-                }
-            },
-        }
+        classify(net, pivot, config, &mut self.stats)
     }
 
     /// The counters accumulated so far.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// Returns the accumulated counters and resets them to zero (the solver
-    /// itself stays warm).
-    pub fn take_stats(&mut self) -> SolverStats {
-        std::mem::take(&mut self.stats)
     }
 }
 
@@ -616,6 +521,12 @@ impl IncrementalClassifier {
 mod tests {
     use super::*;
     use als_logic::{Cover, Cube};
+
+    const METHODS: [DontCareMethod; 3] = [
+        DontCareMethod::Enumerate,
+        DontCareMethod::Sat,
+        DontCareMethod::Auto,
+    ];
 
     fn cube(lits: &[(usize, bool)]) -> Cube {
         Cube::from_literals(lits).unwrap()
@@ -672,7 +583,7 @@ mod tests {
             Cover::from_cubes(2, [cube(&[(0, true)]), cube(&[(1, true)])]),
         );
         net.add_po("y", y);
-        for method in [DontCareMethod::Enumerate, DontCareMethod::Sat] {
+        for method in METHODS {
             let cfg = DontCareConfig {
                 method,
                 ..DontCareConfig::default()
@@ -692,7 +603,7 @@ mod tests {
         // Every fanin pattern of n2 can occur with i0=1, so no full-pattern
         // ODC exists; this pins the conservative behaviour.
         let (net, _n1, n2) = fig1();
-        for method in [DontCareMethod::Enumerate, DontCareMethod::Sat] {
+        for method in METHODS {
             let cfg = DontCareConfig {
                 method,
                 ..DontCareConfig::default()
@@ -725,7 +636,7 @@ mod tests {
             Cover::from_cubes(2, [cube(&[(0, true)]), cube(&[(1, true)])]),
         );
         net.add_po("y", y);
-        for method in [DontCareMethod::Enumerate, DontCareMethod::Sat] {
+        for method in METHODS {
             let cfg = DontCareConfig {
                 method,
                 ..DontCareConfig::default()
@@ -741,27 +652,25 @@ mod tests {
     #[test]
     fn methods_agree_on_fig1() {
         let (net, n1, n2) = fig1();
+        // `max_enumerated_leaves: 0` sends `Auto` down its SAT branch.
+        let configs = METHODS.map(|method| DontCareConfig {
+            method,
+            ..DontCareConfig::default()
+        });
+        let auto_sat = DontCareConfig {
+            method: DontCareMethod::Auto,
+            max_enumerated_leaves: 0,
+            ..DontCareConfig::default()
+        };
         for node in [n1, n2] {
-            let e = compute_dont_cares(
-                &net,
-                node,
-                &DontCareConfig {
-                    method: DontCareMethod::Enumerate,
-                    ..DontCareConfig::default()
-                },
-            );
-            let s = compute_dont_cares(
-                &net,
-                node,
-                &DontCareConfig {
-                    method: DontCareMethod::Sat,
-                    ..DontCareConfig::default()
-                },
-            );
-            let k = e.num_fanins();
-            for v in 0..(1 << k) {
-                assert_eq!(e.is_sdc(v), s.is_sdc(v), "sdc {node:?} {v:b}");
-                assert_eq!(e.is_odc(v), s.is_odc(v), "odc {node:?} {v:b}");
+            let e = compute_dont_cares(&net, node, &configs[0]);
+            for cfg in configs.iter().skip(1).chain([&auto_sat]) {
+                let other = compute_dont_cares(&net, node, cfg);
+                let k = e.num_fanins();
+                for v in 0..(1 << k) {
+                    assert_eq!(e.is_sdc(v), other.is_sdc(v), "sdc {cfg:?} {node:?} {v:b}");
+                    assert_eq!(e.is_odc(v), other.is_odc(v), "odc {cfg:?} {node:?} {v:b}");
+                }
             }
         }
     }
@@ -779,53 +688,49 @@ mod tests {
     }
 
     #[test]
-    fn incremental_classifier_matches_stateless_oracle() {
+    fn classifier_matches_stateless_oracle() {
         let (net, n1, n2) = fig1();
-        let cfg = DontCareConfig {
-            method: DontCareMethod::Sat,
-            ..DontCareConfig::default()
-        };
-        let mut inc = IncrementalClassifier::new(SolverReuse::Incremental);
-        let mut fresh = IncrementalClassifier::new(SolverReuse::Fresh);
-        for node in [n1, n2, n1, n2] {
-            let oracle = compute_dont_cares(&net, node, &cfg);
-            for dc in [
-                inc.compute(&net, node, &cfg),
-                fresh.compute(&net, node, &cfg),
-            ] {
+        for method in METHODS {
+            let cfg = DontCareConfig {
+                method,
+                ..DontCareConfig::default()
+            };
+            let mut classifier = IncrementalClassifier::new(SolverReuse::Fresh);
+            for node in [n1, n2, n1, n2] {
+                let oracle = compute_dont_cares(&net, node, &cfg);
+                let dc = classifier.compute(&net, node, &cfg);
                 let k = oracle.num_fanins();
                 assert_eq!(dc.num_fanins(), k);
                 for v in 0..(1 << k) {
-                    assert_eq!(dc.is_sdc(v), oracle.is_sdc(v), "sdc {node:?} {v:b}");
-                    assert_eq!(dc.is_odc(v), oracle.is_odc(v), "odc {node:?} {v:b}");
+                    assert_eq!(dc.is_sdc(v), oracle.is_sdc(v), "sdc {method:?} {v:b}");
+                    assert_eq!(dc.is_odc(v), oracle.is_odc(v), "odc {method:?} {v:b}");
                 }
             }
+            // SAT builds one solver per window; fig1's windows are small, so
+            // `Auto` enumerates them all and never asks the solver.
+            let stats = classifier.stats();
+            match method {
+                DontCareMethod::Sat => {
+                    assert_eq!(stats.solver_instances, 4);
+                    assert!(stats.sat_queries > 0);
+                }
+                DontCareMethod::Auto | DontCareMethod::Enumerate => assert!(stats.is_empty()),
+            }
         }
-        // One incremental instance served all four windows; the fresh path
-        // paid one per window.
-        assert_eq!(inc.stats().solver_instances, 1);
-        assert_eq!(fresh.stats().solver_instances, 4);
-        assert_eq!(inc.stats().sat_queries, fresh.stats().sat_queries);
-        assert!(inc.stats().clauses_retracted > 0);
-        assert_eq!(fresh.stats().clauses_retracted, 0);
     }
 
     #[test]
-    fn take_stats_resets_counters() {
+    fn observability_first_settles_a_care_pattern_in_one_query() {
+        // Every fanin pattern of n2 is a care pattern (see
+        // `odc_on_blocked_path`): one observability query each.
         let (net, _, n2) = fig1();
         let cfg = DontCareConfig {
             method: DontCareMethod::Sat,
             ..DontCareConfig::default()
         };
-        let mut inc = IncrementalClassifier::new(SolverReuse::Incremental);
-        inc.compute(&net, n2, &cfg);
-        let s = inc.take_stats();
-        assert!(!s.is_empty());
-        assert!(inc.stats().is_empty());
-        // Stats reset, but the solver stays warm: the next window reuses it.
-        inc.compute(&net, n2, &cfg);
-        assert_eq!(inc.stats().solver_instances, 0);
-        assert!(inc.stats().sat_queries > 0);
+        let mut classifier = IncrementalClassifier::new(SolverReuse::Fresh);
+        classifier.compute(&net, n2, &cfg);
+        assert_eq!(classifier.stats().sat_queries, 4);
     }
 
     #[test]

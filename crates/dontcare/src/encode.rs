@@ -1,7 +1,7 @@
 //! Tseitin CNF encoding of network nodes for the SAT-based don't-care method.
 
 use als_network::{Network, NodeId};
-use als_sat::{Group, Lit, Solver, Var};
+use als_sat::{Lit, Solver, Var};
 use std::collections::HashMap;
 
 /// Encodes the local function of `node` into `solver`, constraining
@@ -25,53 +25,17 @@ pub fn encode_node_cnf(
     vars: &HashMap<NodeId, Var>,
     out_var: Var,
 ) {
-    encode_node_cnf_impl(solver, None, net, node, vars, out_var);
-}
-
-/// Like [`encode_node_cnf`] but every emitted clause belongs to the
-/// retractable `group`: the constraints bind only in queries that assume
-/// [`Group::lit`](als_sat::Group::lit) and disappear when the group is
-/// retracted. Auxiliary variables are still global (variables are cheap;
-/// clauses are what retraction reclaims).
-///
-/// # Panics
-///
-/// Panics if a fanin of `node` has no entry in `vars`.
-#[allow(clippy::implicit_hasher)] // see encode_node_cnf
-pub fn encode_node_cnf_in(
-    solver: &mut Solver,
-    group: Group,
-    net: &Network,
-    node: NodeId,
-    vars: &HashMap<NodeId, Var>,
-    out_var: Var,
-) {
-    encode_node_cnf_impl(solver, Some(group), net, node, vars, out_var);
-}
-
-fn encode_node_cnf_impl(
-    solver: &mut Solver,
-    group: Option<Group>,
-    net: &Network,
-    node: NodeId,
-    vars: &HashMap<NodeId, Var>,
-    out_var: Var,
-) {
-    let emit = |solver: &mut Solver, clause: &[Lit]| match group {
-        Some(g) => solver.add_clause_in(g, clause),
-        None => solver.add_clause(clause),
-    };
     let n = net.node(node);
     let cover = n.cover();
     let out = Lit::pos(out_var);
 
     if cover.is_empty() {
         // Constant 0.
-        emit(solver, &[!out]);
+        solver.add_clause(&[!out]);
         return;
     }
     if cover.has_universe_cube() {
-        emit(solver, &[out]);
+        solver.add_clause(&[out]);
         return;
     }
 
@@ -91,12 +55,12 @@ fn encode_node_cnf_impl(
             let a = Lit::pos(solver.new_var());
             // a → every literal
             for &l in &lits {
-                emit(solver, &[!a, l]);
+                solver.add_clause(&[!a, l]);
             }
             // all literals → a
             let mut clause: Vec<Lit> = lits.iter().map(|&l| !l).collect();
             clause.push(a);
-            emit(solver, &clause);
+            solver.add_clause(&clause);
             a
         };
         cube_lits.push(aux);
@@ -104,11 +68,11 @@ fn encode_node_cnf_impl(
 
     // out ↔ OR(cube_lits)
     for &c in &cube_lits {
-        emit(solver, &[!c, out]);
+        solver.add_clause(&[!c, out]);
     }
     let mut clause = cube_lits;
     clause.push(!out);
-    emit(solver, &clause);
+    solver.add_clause(&clause);
 }
 
 #[cfg(test)]

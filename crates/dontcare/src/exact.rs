@@ -169,7 +169,11 @@ mod tests {
         let (net, n1, n2) = fig1();
         for node in [n1, n2] {
             let exact = compute_exact_dont_cares(&net, node, 1 << 20).unwrap();
-            for method in [DontCareMethod::Enumerate, DontCareMethod::Sat] {
+            for method in [
+                DontCareMethod::Enumerate,
+                DontCareMethod::Sat,
+                DontCareMethod::Auto,
+            ] {
                 let cfg = DontCareConfig {
                     method,
                     ..DontCareConfig::default()

@@ -10,11 +10,10 @@
 //!   node as SDC, ODC or care, by exhaustive in-window enumeration or by SAT
 //!   queries on a window miter (both sound: they yield *subsets* of the true
 //!   don't-care sets, exactly as the paper requires for its upper bound);
-//! * [`IncrementalClassifier`] — the same classification with one
-//!   persistent solver amortized across an entire sweep of windows: each
-//!   window miter lives in a retractable clause group, so per-node solver
-//!   construction disappears from the hot path while the answers stay
-//!   identical to the stateless oracle.
+//!   the default [`DontCareMethod::Auto`] enumerates small windows and asks
+//!   SAT, one solver per window, about the rest;
+//! * [`IncrementalClassifier`] — the same classification over a sweep of
+//!   windows, counting the SAT work it issued.
 //!
 //! # Example
 //!
@@ -55,6 +54,6 @@ pub use compute::{
     compute_dont_cares, DontCareConfig, DontCareMethod, DontCares, IncrementalClassifier,
     SolverReuse, SolverStats,
 };
-pub use encode::{encode_node_cnf, encode_node_cnf_in};
+pub use encode::encode_node_cnf;
 pub use exact::compute_exact_dont_cares;
 pub use window::{undirected_ball, window_influence, Window};

@@ -2,10 +2,7 @@
 //! classification must be a subset of the exact (BDD) one, and the exact one
 //! must agree with brute force.
 
-use als_dontcare::{
-    compute_dont_cares, compute_exact_dont_cares, DontCareConfig, DontCareMethod,
-    IncrementalClassifier, SolverReuse,
-};
+use als_dontcare::{compute_dont_cares, compute_exact_dont_cares, DontCareConfig, DontCareMethod};
 use als_logic::{Cover, Cube};
 use als_network::{Network, NodeId};
 use proptest::prelude::*;
@@ -130,43 +127,39 @@ proptest! {
         }
     }
 
-    /// The tentpole differential: sweeping every internal node as a pivot,
-    /// the one-solver incremental path, the fresh-solver oracle and the
-    /// exhaustive window enumeration must produce *identical* SDC/ODC
-    /// classifications — not merely mutually sound ones.
+    /// The engine differential: sweeping every internal node as a pivot,
+    /// SAT, exhaustive window enumeration and `Auto` must produce
+    /// *identical* SDC/ODC classifications — not merely mutually sound ones.
+    /// `Auto` runs twice: at the default leaf limit, and at a limit of 2,
+    /// below most of these windows, so that it takes both of its branches.
     #[test]
-    fn incremental_fresh_and_enumeration_classify_identically(recipe in arb_recipe()) {
+    fn sat_enumeration_and_auto_classify_identically(recipe in arb_recipe()) {
         let net = build_network(&recipe);
         let internals: Vec<NodeId> = net.internal_ids().collect();
         prop_assume!(!internals.is_empty());
-        let sat_cfg = DontCareConfig { method: DontCareMethod::Sat, ..DontCareConfig::default() };
-        let enum_cfg = DontCareConfig {
-            method: DontCareMethod::Enumerate,
+        let with = |method, max_enumerated_leaves| DontCareConfig {
+            method,
+            max_enumerated_leaves,
             ..DontCareConfig::default()
         };
-        let mut incremental = IncrementalClassifier::new(SolverReuse::Incremental);
-        let mut fresh = IncrementalClassifier::new(SolverReuse::Fresh);
+        let sat_cfg = with(DontCareMethod::Sat, 14);
+        let others = [
+            with(DontCareMethod::Enumerate, 14),
+            with(DontCareMethod::Auto, 14),
+            with(DontCareMethod::Auto, 2),
+        ];
         for &pivot in &internals {
-            let a = incremental.compute(&net, pivot, &sat_cfg);
-            let b = fresh.compute(&net, pivot, &sat_cfg);
-            let c = compute_dont_cares(&net, pivot, &enum_cfg);
+            let a = compute_dont_cares(&net, pivot, &sat_cfg);
             let k = a.num_fanins();
-            prop_assert_eq!(k, b.num_fanins());
-            prop_assert_eq!(k, c.num_fanins());
-            for v in 0..(1usize << k) {
-                prop_assert_eq!(a.is_sdc(v), b.is_sdc(v), "incremental vs fresh sdc at {:b}", v);
-                prop_assert_eq!(a.is_odc(v), b.is_odc(v), "incremental vs fresh odc at {:b}", v);
-                prop_assert_eq!(a.is_sdc(v), c.is_sdc(v), "sat vs enumeration sdc at {:b}", v);
-                prop_assert_eq!(a.is_odc(v), c.is_odc(v), "sat vs enumeration odc at {:b}", v);
+            for cfg in &others {
+                let b = compute_dont_cares(&net, pivot, cfg);
+                prop_assert_eq!(k, b.num_fanins());
+                for v in 0..(1usize << k) {
+                    prop_assert_eq!(a.is_sdc(v), b.is_sdc(v), "sat vs {:?} sdc at {:b}", cfg, v);
+                    prop_assert_eq!(a.is_odc(v), b.is_odc(v), "sat vs {:?} odc at {:b}", cfg, v);
+                }
             }
         }
-        // The sweep must have amortized: never more solver instances than
-        // queries, and the fresh oracle burns at least as many instances.
-        let inc_stats = incremental.stats();
-        let fresh_stats = fresh.stats();
-        prop_assert_eq!(inc_stats.sat_queries, fresh_stats.sat_queries);
-        prop_assert!(inc_stats.solver_instances <= inc_stats.sat_queries.max(1));
-        prop_assert!(inc_stats.solver_instances <= fresh_stats.solver_instances);
     }
 
     #[test]
@@ -176,7 +169,7 @@ proptest! {
         prop_assume!(!internals.is_empty());
         let pivot = internals[pick as usize % internals.len()];
         let (sdc, odc) = brute_force(&net, pivot);
-        for method in [DontCareMethod::Enumerate, DontCareMethod::Sat] {
+        for method in [DontCareMethod::Enumerate, DontCareMethod::Sat, DontCareMethod::Auto] {
             let cfg = DontCareConfig { method, ..DontCareConfig::default() };
             let w = compute_dont_cares(&net, pivot, &cfg);
             for v in 0..sdc.len() {

@@ -133,6 +133,23 @@ pub fn synth_request(
     obj.render()
 }
 
+/// A request line for a job that occupies a worker for seconds: SASIMI on
+/// c7552, whose pair scan is quadratic in the node count and runs over
+/// 16k-pattern signatures. Its iterations stay short, and each one ends at
+/// a cancellation check and (with `progress`) a progress frame.
+pub fn slow_job(id: &str, progress: bool) -> String {
+    synth_request(
+        id,
+        "bench",
+        "c7552",
+        0.2,
+        "sasimi",
+        1,
+        "fixed:16384",
+        progress,
+    )
+}
+
 /// Field accessors for response frames.
 pub fn str_field<'a>(frame: &'a Json, key: &str) -> &'a str {
     frame

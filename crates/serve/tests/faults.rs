@@ -9,7 +9,7 @@ mod common;
 use als_network::blif;
 use als_serve::ServeConfig;
 use als_telemetry::Json;
-use common::{bool_field, start, str_field, synth_request, u64_field, Client};
+use common::{bool_field, slow_job, start, str_field, synth_request, u64_field, Client};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -33,12 +33,6 @@ fn assert_pool_accepts_next_job(client: &mut Client) {
     ));
     let result = client.recv_type("result");
     assert_eq!(str_field(&result, "status"), "done");
-}
-
-/// A request line for the slow job used to occupy a worker (c880 single
-/// selection: seconds per iteration in debug builds).
-fn slow_job(id: &str, progress: bool) -> String {
-    synth_request(id, "bench", "c880", 0.2, "single", 1, "fixed:256", progress)
 }
 
 /// Polls `stats` until the queue drains (the worker picked up the job).

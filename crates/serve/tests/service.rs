@@ -20,7 +20,7 @@ use als_network::blif;
 use als_serve::ServeConfig;
 use als_telemetry::Json;
 use common::{
-    bool_field, f64_field, obj_field, start, str_field, synth_request, u64_field, Client,
+    bool_field, f64_field, obj_field, slow_job, start, str_field, synth_request, u64_field, Client,
 };
 
 /// The shared small circuit: an 8-bit ripple-carry adder as BLIF text.
@@ -210,18 +210,8 @@ fn cancellation_mid_job_frees_the_worker_slot() {
     let daemon = start(config);
     let mut client = Client::connect(daemon.addr());
 
-    // A long job (c880, single selection: tens of seconds in debug
-    // builds) with progress streaming on.
-    client.send(&synth_request(
-        "slow",
-        "bench",
-        "c880",
-        0.2,
-        "single",
-        1,
-        "fixed:1024",
-        true,
-    ));
+    // A long job with progress streaming on.
+    client.send(&slow_job("slow", true));
     let accepted = client.recv_type("accepted");
     assert_eq!(str_field(&accepted, "id"), "slow");
     // Wait until the job is demonstrably mid-run, then cancel it.

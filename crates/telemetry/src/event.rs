@@ -169,16 +169,15 @@ pub enum Event {
         nanos: u64,
     },
     /// Aggregated SAT activity from don't-care classification over one
-    /// engine refresh (or one classical simplification pass): how many
-    /// solver queries ran, how many solver instances served them, and how
-    /// many clauses group retraction physically reclaimed. With incremental
-    /// solver reuse `solver_instances` stays far below `sat_queries`.
+    /// engine refresh: how many solver queries ran and how many solver
+    /// instances (one per window sent to SAT) served them.
     SatActivity {
         /// Individual `solve_with_assumptions` calls issued.
         sat_queries: u64,
-        /// Solver instances that served at least one query.
+        /// Solver instances built, one per window sent to SAT.
         solver_instances: u64,
-        /// Clauses physically swept by clause-group retraction.
+        /// Clauses swept by clause-group retraction; the engine emits 0,
+        /// since no don't-care solver outlives its window.
         clauses_retracted: u64,
     },
     /// A committed change set invalidated part of the engine memo.

@@ -124,10 +124,11 @@ pub struct MetricsReport {
     /// SAT queries issued by don't-care classification
     /// (`solve_with_assumptions` calls).
     pub sat_queries: u64,
-    /// SAT solver instances that served at least one query —
-    /// `solver_instances ≪ sat_queries` is the incremental-reuse measure.
+    /// SAT solver instances built by don't-care classification: one per
+    /// window it sent to SAT.
     pub solver_instances: u64,
-    /// Clauses physically reclaimed by clause-group retraction.
+    /// Clauses reclaimed by clause-group retraction. Reads 0: every
+    /// don't-care window has a solver of its own, so nothing is retracted.
     pub clauses_retracted: u64,
     /// Mapped critical-path delay of the final network, in the cell
     /// library's delay units. Telemetry has no mapper dependency, so this is

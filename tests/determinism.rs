@@ -12,7 +12,7 @@ use als::circuits::misc::priority_encoder;
 use als::network::{blif, Network};
 use als::{approximate, AlsConfig, AlsOutcome, DelayWeight, PatternPolicy, ResimMode, Strategy};
 use als_bench::PAPER_THRESHOLDS;
-use als_dontcare::{DontCareConfig, DontCareMethod, SolverReuse};
+use als_dontcare::{DontCareConfig, DontCareMethod};
 use proptest::prelude::*;
 
 /// Everything observable about an outcome, as one comparable string.
@@ -147,77 +147,69 @@ fn incremental_resimulation_never_changes_the_outcome() {
     );
 }
 
-/// The one-solver-per-window-sweep SAT path is a pure *speed* knob as
-/// well: [`SolverReuse::Incremental`] keeps a single solver warm across a
-/// whole sweep (retracting each window's clause group afterwards) while
-/// [`SolverReuse::Fresh`] builds a throwaway solver per query, and both
-/// must answer every SDC/ODC query identically — so outcomes stay
-/// byte-identical across every circuit × Table-4 threshold × all three
-/// algorithms. Non-vacuity is asserted two ways: the incremental side must
-/// somewhere have amortized (strictly fewer solver instances than queries,
-/// and strictly fewer than the fresh oracle's one-solver-per-window total).
+/// The don't-care engine is a pure *speed* knob as well: `Auto` enumerates
+/// windows with at most `max_enumerated_leaves` leaves and asks SAT about
+/// the rest, and the two engines classify every pattern identically — so
+/// outcomes must stay byte-identical to `Sat` across every circuit ×
+/// Table-4 threshold × all three algorithms. `Auto` runs twice: at the
+/// default leaf limit, and at a limit of 4, which sends these small
+/// circuits' wider windows down its SAT branch. Non-vacuity: both sides
+/// must issue SAT queries somewhere, and default `Auto` strictly fewer
+/// than `Sat`.
 #[test]
-fn incremental_solver_reuse_never_changes_the_outcome() {
-    let reuse_config = |threshold: f64, reuse: SolverReuse| {
+fn auto_dont_cares_never_change_the_outcome() {
+    let dc_config = |threshold: f64, method: DontCareMethod, max_enumerated_leaves: usize| {
         AlsConfig::builder()
             .threshold(threshold)
             .patterns(PatternPolicy::Fixed(256))
             .seed(29)
             .dont_care(DontCareConfig {
-                method: DontCareMethod::Sat,
-                reuse,
+                method,
+                max_enumerated_leaves,
                 ..DontCareConfig::default()
             })
             .build()
             .expect("test config is valid")
     };
-    let (mut inc_queries, mut inc_instances, mut fresh_instances) = (0u64, 0u64, 0u64);
+    let default_leaves = DontCareConfig::default().max_enumerated_leaves;
+    let (mut sat_queries, mut auto_queries, mut narrow_auto_queries) = (0u64, 0u64, 0u64);
     for circuit_index in 0..3 {
         let net = circuit(circuit_index);
         for &threshold in &PAPER_THRESHOLDS {
             for strategy in [Strategy::Single, Strategy::Multi, Strategy::Sasimi] {
-                let inc = approximate(
-                    &net,
-                    strategy,
-                    &reuse_config(threshold, SolverReuse::Incremental),
-                )
-                .unwrap();
-                let fresh =
-                    approximate(&net, strategy, &reuse_config(threshold, SolverReuse::Fresh))
-                        .unwrap();
-                assert_eq!(
-                    fingerprint(&inc),
-                    fingerprint(&fresh),
-                    "{} @ {threshold} {strategy:?}: solver reuse changed the outcome",
-                    net.name()
-                );
-                assert_eq!(
-                    inc.metrics.sat_queries,
-                    fresh.metrics.sat_queries,
-                    "{} @ {threshold} {strategy:?}: reuse changed the query count",
-                    net.name()
-                );
-                assert!(
-                    inc.metrics.solver_instances <= fresh.metrics.solver_instances,
-                    "{} @ {threshold} {strategy:?}: incremental path built more solvers \
-                     than the fresh oracle",
-                    net.name()
-                );
-                inc_queries += inc.metrics.sat_queries;
-                inc_instances += inc.metrics.solver_instances;
-                fresh_instances += fresh.metrics.solver_instances;
+                let sat_config = dc_config(threshold, DontCareMethod::Sat, default_leaves);
+                let sat = approximate(&net, strategy, &sat_config).unwrap();
+                sat_queries += sat.metrics.sat_queries;
+                for (leaves, queries) in [
+                    (default_leaves, &mut auto_queries),
+                    (4, &mut narrow_auto_queries),
+                ] {
+                    let auto_config = dc_config(threshold, DontCareMethod::Auto, leaves);
+                    let auto = approximate(&net, strategy, &auto_config).unwrap();
+                    assert_eq!(
+                        fingerprint(&auto),
+                        fingerprint(&sat),
+                        "{} @ {threshold} {strategy:?}: Auto at max_enumerated_leaves {leaves} \
+                         changed the outcome",
+                        net.name()
+                    );
+                    *queries += auto.metrics.sat_queries;
+                }
             }
         }
     }
     assert!(
-        inc_instances < inc_queries,
-        "incremental path never amortized a solver across queries \
-         ({inc_instances} instances for {inc_queries} queries) — the sweep is vacuous"
+        sat_queries > 0,
+        "Sat never issued a query — the sweep is vacuous"
     );
     assert!(
-        inc_instances < fresh_instances,
-        "incremental path built as many solvers as the fresh oracle \
-         ({inc_instances} vs {fresh_instances}) — reuse never engaged"
+        narrow_auto_queries > 0,
+        "Auto never took its SAT branch — the sweep is vacuous"
+    );
+    assert!(
+        auto_queries < sat_queries,
+        "default Auto issued as many SAT queries as Sat ({auto_queries} vs {sat_queries}) — \
+         enumeration never engaged"
     );
 }
 
