@@ -4,8 +4,7 @@
 //! miniature.
 
 use als_circuits::ripple_carry_adder;
-use als_core::sasimi::sasimi;
-use als_core::{multi_selection, single_selection, AlsConfig, PatternPolicy};
+use als_core::{approximate, AlsConfig, PatternPolicy, Strategy};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -22,18 +21,18 @@ fn bench_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("selection");
     group.sample_size(10);
     group.bench_function("single_selection/RCA8", |b| {
-        b.iter(|| single_selection(black_box(&net), black_box(&config)));
+        b.iter(|| approximate(black_box(&net), Strategy::Single, black_box(&config)).unwrap());
     });
     group.bench_function("multi_selection/RCA8", |b| {
-        b.iter(|| multi_selection(black_box(&net), black_box(&config)));
+        b.iter(|| approximate(black_box(&net), Strategy::Multi, black_box(&config)).unwrap());
     });
     group.bench_function("sasimi/RCA8", |b| {
-        b.iter(|| sasimi(black_box(&net), black_box(&config)));
+        b.iter(|| approximate(black_box(&net), Strategy::Sasimi, black_box(&config)).unwrap());
     });
     let mut no_dc = config;
     no_dc.use_dont_cares = false;
     group.bench_function("single_selection_no_dontcares/RCA8", |b| {
-        b.iter(|| single_selection(black_box(&net), black_box(&no_dc)));
+        b.iter(|| approximate(black_box(&net), Strategy::Single, black_box(&no_dc)).unwrap());
     });
     group.finish();
 }

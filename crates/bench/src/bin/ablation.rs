@@ -4,7 +4,7 @@
 //! Usage: `cargo run --release -p als-bench --bin ablation [--quick]`.
 
 use als_circuits::registry::find_benchmark;
-use als_core::{single_selection, AlsConfig, PatternPolicy};
+use als_core::{approximate, AlsConfig, PatternPolicy, Strategy};
 use als_dontcare::DontCareMethod;
 use als_mapper::{map_network, Library};
 
@@ -76,7 +76,8 @@ fn main() {
                 config.patterns = PatternPolicy::Fixed(2048);
             }
             (v.configure)(&mut config);
-            let outcome = single_selection(&golden, &config);
+            let outcome = approximate(&golden, Strategy::Single, &config)
+                .expect("registry circuits and the ablation configs are valid");
             let area = map_network(&outcome.network, &lib).area();
             print!(
                 " | {:>14.3} {:>7.2}",

@@ -144,7 +144,8 @@ fn certified_run() -> (Network, Network, String) {
         .telemetry(Telemetry::from(Arc::new(JsonlSink::new(buf.clone()))))
         .build()
         .expect("test config is valid");
-    let outcome = als_core::single_selection(&golden, &config);
+    let outcome = als_core::approximate(&golden, als_core::Strategy::Single, &config)
+        .expect("the golden circuit and config are valid");
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf8 jsonl");
     (golden, outcome.network, text)
 }

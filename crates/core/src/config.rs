@@ -235,11 +235,9 @@ pub struct AlsConfig {
     /// the apparent error rate.
     pub use_dont_cares: bool,
     /// Use the exact BDD-based don't-care engine instead of the paper's
-    /// windowed one (falls back to windowed when the BDD exceeds
-    /// `exact_dc_node_limit`). An upper-bound-tightening extension.
+    /// windowed one (falls back to windowed when the BDD outgrows its node
+    /// budget). An upper-bound-tightening extension.
     pub exact_dont_cares: bool,
-    /// Node budget for the exact BDD engine.
-    pub exact_dc_node_limit: usize,
     /// The paper enumerates all `2^N` ASEs only when `N <` this bound
     /// (paper: 5); larger nodes get removals of fewer literals plus the two
     /// constants.
@@ -250,10 +248,6 @@ pub struct AlsConfig {
     /// Hard cap on iterations (safety net; the algorithms terminate on their
     /// own when no feasible change remains).
     pub max_iterations: usize,
-    /// Multi-selection only: when a committed batch overshoots the measured
-    /// threshold, retry the iteration with the knapsack capacity halved
-    /// (instead of terminating). Off by default to match the paper.
-    pub retry_on_overshoot: bool,
     /// Run the same-support/same-signature redundancy-removal pre-process
     /// (§6) before the main loop.
     pub preprocess: bool,
@@ -312,11 +306,9 @@ impl AlsConfig {
             dont_care: DontCareConfig::default(),
             use_dont_cares: true,
             exact_dont_cares: false,
-            exact_dc_node_limit: 1 << 18,
             max_enum_literals: 5,
             max_fanins: 10,
             max_iterations: 10_000,
-            retry_on_overshoot: false,
             preprocess: true,
             magnitude: None,
             threads: 1,
@@ -482,13 +474,6 @@ impl AlsConfigBuilder {
         self
     }
 
-    /// Enables capacity-halving retries after a measured overshoot
-    /// (multi-selection).
-    pub fn retry_on_overshoot(mut self, on: bool) -> Self {
-        self.config.retry_on_overshoot = on;
-        self
-    }
-
     /// Enables or disables the §6 redundancy-removal pre-process.
     pub fn preprocess(mut self, on: bool) -> Self {
         self.config.preprocess = on;
@@ -586,7 +571,6 @@ mod tests {
         assert_eq!(c.dont_care.levels_in, 2);
         assert_eq!(c.dont_care.levels_out, 2);
         assert!(c.use_dont_cares);
-        assert!(!c.retry_on_overshoot);
         assert!(c.magnitude.is_none());
         assert_eq!(c.threads, 1);
         assert!(c.cache);

@@ -2,9 +2,8 @@ use crate::AlsConfig;
 use als_absint::Interval;
 use als_network::{Network, NodeId};
 use als_sim::{
-    error_count_range_from_view, error_rate_from_view, error_rate_vs_reference,
-    magnitude_stats_from_view, magnitude_stats_vs_reference, po_words, simulate, IncrementalSim,
-    MagnitudeStats, PatternSet, SimResult, SimView, UpdateDelta,
+    error_count_range_from_view, error_rate_from_view, magnitude_stats_from_view, po_words,
+    simulate, IncrementalSim, PatternSet, SimResult, SimView, UpdateDelta,
 };
 use als_telemetry::{Event, Telemetry};
 
@@ -50,7 +49,7 @@ impl AlsContext {
         }
     }
 
-    /// Attaches a telemetry handle; every `measure`/`simulate` call then
+    /// Attaches a telemetry handle; every simulation and measurement then
     /// emits one coarse event. Events carry only timings and sizes, so the
     /// measured results are identical with any sink.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -76,6 +75,11 @@ impl AlsContext {
         &self.patterns
     }
 
+    /// The number of POs the golden reference holds signatures for.
+    pub(crate) fn num_pos(&self) -> usize {
+        self.reference_po_words.len()
+    }
+
     /// The starting word prefix for adaptive probes (`None` under fixed
     /// sampling).
     pub(crate) fn adaptive_min_words(&self) -> Option<usize> {
@@ -97,17 +101,6 @@ impl AlsContext {
             words,
             words_full,
         });
-    }
-
-    /// Measures the error rate of `candidate` against the golden reference.
-    pub fn measure(&self, candidate: &Network) -> f64 {
-        let mark = self.telemetry.start();
-        let rate = error_rate_vs_reference(&self.reference_po_words, candidate, &self.patterns);
-        self.telemetry.emit(|| Event::Measured {
-            error_rate: rate,
-            nanos: Telemetry::nanos_since(mark),
-        });
-        rate
     }
 
     /// Simulates `candidate` (fresh signatures for its current structure).
@@ -139,7 +132,7 @@ impl AlsContext {
     /// Runs one incremental dirty-set update of `inc` against the current
     /// structure of `candidate`, emitting a `Resimulated` event with the
     /// work counters.
-    pub fn update_resim(
+    fn update_resim(
         &self,
         inc: &mut IncrementalSim,
         candidate: &Network,
@@ -176,8 +169,7 @@ impl AlsContext {
     }
 
     /// Measures the error rate of `candidate` from already-up-to-date
-    /// incremental signatures — word-identical arithmetic to
-    /// [`measure`](AlsContext::measure).
+    /// incremental signatures.
     pub fn measure_view(&self, candidate: &Network, sim: SimView<'_>) -> f64 {
         let mark = self.telemetry.start();
         let rate = error_rate_from_view(&self.reference_po_words, candidate, sim);
@@ -188,38 +180,14 @@ impl AlsContext {
         rate
     }
 
-    /// Measures numeric deviation statistics of `candidate` against the
-    /// golden reference (POs weighted `2^i`); used when a
-    /// [`MagnitudeConstraint`](crate::MagnitudeConstraint) is configured.
-    pub fn measure_magnitude(&self, candidate: &Network) -> MagnitudeStats {
-        magnitude_stats_vs_reference(&self.reference_po_words, candidate, &self.patterns)
-    }
-
     /// Whether `candidate` satisfies both the error-rate threshold and (if
-    /// configured) the magnitude constraint; returns the measured rate on
-    /// success.
-    pub fn accepts(&self, candidate: &Network, config: &crate::AlsConfig) -> Option<f64> {
-        let rate = self.measure(candidate);
-        if rate > config.threshold {
-            return None;
-        }
-        if let Some(mc) = config.magnitude {
-            if self.measure_magnitude(candidate).max_abs > mc.max_abs {
-                return None;
-            }
-        }
-        Some(rate)
-    }
-
-    /// [`accepts`](AlsContext::accepts) measured from already-up-to-date
-    /// incremental signatures instead of a fresh simulation. Both paths
-    /// share the measurement arithmetic word-for-word, so they agree
-    /// bit-identically.
-    pub fn accepts_view(
+    /// configured) the magnitude constraint, measured from already-up-to-date
+    /// incremental signatures; returns the measured rate on success.
+    fn accepts_view(
         &self,
         candidate: &Network,
         sim: SimView<'_>,
-        config: &crate::AlsConfig,
+        config: &AlsConfig,
     ) -> Option<f64> {
         let rate = self.measure_view(candidate, sim);
         if rate > config.threshold {
@@ -256,8 +224,7 @@ impl AlsContext {
     ///   repeats.
     ///
     /// **Measurement identity:** every *accepted* trial (and every rejection
-    /// that reaches full coverage) is measured by
-    /// [`accepts_view`](AlsContext::accepts_view) over the complete pattern
+    /// that reaches full coverage) is measured over the complete pattern
     /// budget — word-identical arithmetic to fixed sampling — and an early
     /// reject fires only when fixed sampling would also have rejected on the
     /// rate. Outcomes are therefore byte-identical to
@@ -277,7 +244,7 @@ impl AlsContext {
         trial: &mut Network,
         dirty: &[NodeId],
         propagate: bool,
-        config: &crate::AlsConfig,
+        config: &AlsConfig,
     ) -> Option<f64> {
         let wps = inc.words_per_signal();
         let num_patterns = self.patterns.num_patterns();
@@ -357,11 +324,12 @@ mod tests {
         );
         net.add_po("y", y);
         let ctx = AlsContext::new(&net, &AlsConfig::default());
-        assert_eq!(ctx.measure(&net), 0.0);
+        assert_eq!(ctx.measure_view(&net, ctx.incremental(&net).view()), 0.0);
         // Breaking the network is detected.
         let mut broken = net.clone();
         let d = broken.pos()[0].1;
         broken.replace_with_constant(d, true);
-        assert!(ctx.measure(&broken) > 0.4); // y = a' is wrong half the time
+        let inc = ctx.incremental(&broken);
+        assert!(ctx.measure_view(&broken, inc.view()) > 0.4); // y = a' is wrong half the time
     }
 }

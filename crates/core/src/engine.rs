@@ -527,6 +527,10 @@ fn joint_count_ones(sim: SimView<'_>, a: NodeId, b: NodeId) -> u64 {
     }
     total
 }
+/// Node budget of the exact BDD don't-care engine
+/// ([`AlsConfig::exact_dont_cares`]); a node whose BDDs outgrow it falls
+/// back to the windowed engine.
+const EXACT_DC_NODE_LIMIT: usize = 1 << 18;
 
 /// The per-node work item: ASE enumeration, static bounding (and pruning)
 /// of every candidate, then — only if a candidate survives — local-pattern
@@ -584,7 +588,7 @@ fn evaluate_node(
     let dc = if !(needs_dont_cares && config.use_dont_cares) {
         DontCares::none(k)
     } else if config.exact_dont_cares {
-        match als_dontcare::compute_exact_dont_cares(net, id, config.exact_dc_node_limit) {
+        match als_dontcare::compute_exact_dont_cares(net, id, EXACT_DC_NODE_LIMIT) {
             Ok(dc) => dc,
             Err(_) => classifier.compute(net, id, &config.dont_care),
         }

@@ -21,9 +21,10 @@
 //! * [`Strategy::Sasimi`] — the signal-substitution baseline the paper
 //!   compares against.
 //!
-//! All three draw their candidates from the [`CandidateEngine`], which
-//! memoizes per-node evaluations, re-computes them in parallel (see
-//! [`AlsConfig::threads`]) and invalidates incrementally after each commit.
+//! The paper's two algorithms draw their candidates from the
+//! [`CandidateEngine`], which memoizes per-node evaluations, re-computes them
+//! in parallel (see [`AlsConfig::threads`]) and invalidates incrementally
+//! after each commit.
 //! The same-support/same-signature redundancy-removal pre-process of §6 is
 //! available as [`preprocess::remove_redundancies`].
 //!
@@ -67,12 +68,12 @@ mod error;
 mod error_model;
 mod multi;
 mod report;
+mod sasimi;
 mod single;
 
 pub mod classical;
 pub mod knapsack;
 pub mod preprocess;
-pub mod sasimi;
 pub mod sweep;
 
 pub use api::{approximate, approximate_under, approximate_with_context, Strategy};
@@ -87,9 +88,7 @@ pub use context::AlsContext;
 pub use engine::{CandidateEngine, CandidateEval};
 pub use error::AlsError;
 pub use error_model::{apparent_error_rate, estimated_real_error_rate, score, NodeErrorAnalysis};
-pub use multi::{multi_selection, multi_selection_under};
 pub use report::{AlsOutcome, IterationRecord, SelectedChange};
-pub use single::{single_selection, single_selection_under};
 
 /// The telemetry crate, re-exported so downstream users can attach sinks
 /// without naming `als-telemetry` in their own manifests.

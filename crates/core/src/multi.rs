@@ -1,134 +1,38 @@
-//! The multi-selection algorithm (paper Algorithm 2).
+//! The multi-selection algorithm (paper Algorithm 2); see
+//! [`Strategy::Multi`](crate::Strategy::Multi).
 
+use crate::api::Run;
 use crate::ase::Ase;
 use crate::delay_score::{DelayScorer, GAIN_SCALE};
 use crate::engine::CandidateEngine;
 use crate::knapsack::{self, error_rate_scale, scale_weight, KnapsackItem, KnapsackState};
-use crate::report::{AlsOutcome, IterationRecord, SelectedChange};
+use crate::report::SelectedChange;
 use crate::single::apply_ase;
-use crate::{preprocess, AlsConfig, AlsContext};
-use als_network::{Network, NodeId};
-use als_telemetry::{Event, MetricsCollector, PhaseKind, Telemetry};
-use std::sync::Arc;
-use std::time::Instant;
+use als_network::NodeId;
+use als_telemetry::{Event, Telemetry};
 
-/// Runs the multi-selection algorithm: per iteration, every node's ASEs
-/// become the states of a knapsack item (weight = scaled **apparent** error
-/// rate, value = saved literals, capacity = scaled error-rate margin); the
-/// multi-state knapsack DP of [`knapsack::solve`] picks an optimal set of
-/// simultaneous changes, justified by the paper's Theorem 1 (the sum of
-/// apparent error rates bounds the combined error-rate increase).
-///
-/// Candidate pricing comes from the [`CandidateEngine`] (apparent rates
-/// only — don't-care windows are never built here), cached between
-/// iterations and re-evaluated only inside the transitive fanout of each
-/// committed batch.
-///
-/// The measured error rate is re-checked after every batch; an overshooting
-/// batch is rolled back (and optionally retried with half the capacity when
-/// [`AlsConfig::retry_on_overshoot`] is set).
-///
-/// Prefer [`approximate`](crate::approximate) with
-/// [`Strategy::Multi`](crate::Strategy::Multi) for the non-panicking entry
-/// point; this wrapper is kept for compatibility.
-///
-/// # Panics
-///
-/// Panics if the input network fails its consistency check.
-pub fn multi_selection(original: &Network, config: &AlsConfig) -> AlsOutcome {
-    let ctx = AlsContext::new(original, config);
-    multi_selection_with_context(original, config, ctx)
-}
-
-/// Workload-aware variant of [`multi_selection`]: the error-rate budget is
-/// measured under the supplied stimulus instead of uniform random vectors.
-///
-/// # Panics
-///
-/// Panics if the input network fails its consistency check or the pattern
-/// set drives a different PI count.
-pub fn multi_selection_under(
-    original: &Network,
-    config: &AlsConfig,
-    patterns: als_sim::PatternSet,
-) -> AlsOutcome {
-    let ctx = AlsContext::with_patterns(original, patterns);
-    multi_selection_with_context(original, config, ctx)
-}
-
-pub(crate) fn multi_selection_with_context(
-    original: &Network,
-    config: &AlsConfig,
-    ctx: AlsContext,
-) -> AlsOutcome {
-    // lint:allow(nondeterminism): feeds telemetry wall-clock only, never the synthesis outcome
-    let start = Instant::now();
-    original.check().expect("input network must be consistent"); // lint:allow(panic): documented panic contract; `approximate()` is the fallible entry
-    let initial_literals = original.literal_count();
-
-    // Same sink arrangement as single-selection: an internal collector feeds
-    // `AlsOutcome::metrics` alongside any user-configured sinks.
-    let collector = Arc::new(MetricsCollector::new());
-    let mut config = config.clone();
-    config.telemetry = config.telemetry.clone().with(collector.clone());
-    let config = &config;
-    let ctx = ctx
-        .with_telemetry(config.telemetry.clone())
-        .with_sampling(config);
-
-    config.telemetry.emit(|| Event::RunStart {
-        algorithm: "multi-selection",
-        threads: crate::engine::resolve_threads(config.threads),
-        num_patterns: ctx.patterns().num_patterns(),
-        nodes: original.num_internal(),
-        threshold: config.threshold,
-        seed: config.seed,
-    });
-
-    let mut current = original.clone();
-    let pre_mark = config.telemetry.start();
-    if config.preprocess {
-        preprocess::remove_redundancies(&mut current, ctx.patterns());
-    }
-    config.telemetry.emit(|| Event::PhaseEnd {
-        phase: PhaseKind::Preprocess,
-        nanos: Telemetry::nanos_since(pre_mark),
-    });
-
-    let scale = error_rate_scale(config.threshold);
-    // The persistent incremental simulation state; one full simulation at
-    // construction, dirty-set updates per batch afterwards.
-    let mut inc = ctx.incremental(&current);
-    inc.set_full_resim(config.resim.is_full());
-    let mut error_rate = ctx.measure_view(&current, inc.view());
-    let mut margin = config.threshold - error_rate;
-    let mut iterations: Vec<IterationRecord> = Vec::new();
+/// Runs Algorithm 2's loop on `run`: one knapsack-selected batch of changes
+/// per iteration.
+pub(crate) fn select(run: &mut Run) {
+    let scale = error_rate_scale(run.config.threshold);
     // Apparent rates only: no don't-care windows in the engine.
-    let mut engine = CandidateEngine::new(config, false);
+    let mut engine = CandidateEngine::new(&run.config, false);
     // `None` under `DelayWeight::Off`: knapsack values are then the plain
     // literal counts, byte-identical to the legacy path.
-    let mut delay_scorer = DelayScorer::new(&current, config.delay_weight);
+    let mut delay_scorer = DelayScorer::new(&run.current, run.config.delay_weight);
 
-    'outer: for iteration in 1..=config.max_iterations {
-        if margin < 0.0 {
-            break;
-        }
-        // Cooperative cancellation: the network already satisfies the
-        // threshold at every iteration boundary, so stopping here is sound.
-        if config.cancel.is_cancelled() {
-            break;
-        }
-        let iter_mark = config.telemetry.start();
+    'outer: while run.next_iteration() {
         // Static pruning budget: a candidate with apparent rate above
         // `(capacity + 0.5) / scale` scales-and-rounds to a knapsack weight
         // of at least `capacity + 1`, which no solution can pack — so
         // pruning on a sound lower bound above that budget cannot change
         // the solve (the capacity-halving retry below only shrinks the
         // capacity, keeping pruned candidates infeasible).
-        let initial_capacity = scale_weight(margin.max(0.0), scale);
+        let initial_capacity = scale_weight(run.margin().max(0.0), scale);
         engine.set_prune_budget((initial_capacity as f64 + 0.5) / scale); // lint:allow(as-cast): capacity ≤ scale = 1e4, exactly representable in f64
-                                                                          // Collect the candidate items: every eligible node with its ASEs.
-        engine.refresh_from_view(&current, inc.view(), &ctx);
+
+        // Collect the candidate items: every eligible node with its ASEs.
+        engine.refresh_from_view(&run.current, run.inc.view(), &run.ctx);
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut ase_store: Vec<Vec<Ase>> = Vec::new();
         let mut rate_store: Vec<Vec<f64>> = Vec::new();
@@ -147,7 +51,7 @@ pub(crate) fn multi_selection_with_context(
                 let value = match &delay_scorer {
                     None => cand.ase.literals_saved as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
                     Some(sc) => {
-                        (sc.adjusted_gain(&current, id, &cand.ase) * GAIN_SCALE).round() as u64
+                        (sc.adjusted_gain(&run.current, id, &cand.ase) * GAIN_SCALE).round() as u64
                         // lint:allow(as-cast): gains are small non-negative reals
                     }
                 };
@@ -174,9 +78,9 @@ pub(crate) fn multi_selection_with_context(
 
         let mut capacity = initial_capacity;
         loop {
-            let dp_mark = config.telemetry.start();
+            let dp_mark = run.config.telemetry.start();
             let solution = knapsack::solve(&items, capacity, true);
-            config.telemetry.emit(|| Event::KnapsackSolved {
+            run.config.telemetry.emit(|| Event::KnapsackSolved {
                 items: items.len() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
                 capacity,
                 dp_cells: solution.dp_cells,
@@ -187,22 +91,21 @@ pub(crate) fn multi_selection_with_context(
             }
 
             // Apply the batch.
-            let snapshot = current.clone();
-            let mut changes: Vec<SelectedChange> = Vec::new();
-            let mut change_bounds: Vec<(f64, f64)> = Vec::new();
+            let snapshot = run.current.clone();
+            let mut changes = Vec::new();
             let mut batch: Vec<NodeId> = Vec::new();
             for ((idx, choice), id) in solution.choices.iter().enumerate().zip(&nodes) {
                 let Some(state) = choice else { continue };
                 let ase = &ase_store[idx][*state];
-                changes.push(SelectedChange {
-                    node_name: current.node(*id).name().to_string(),
+                let change = SelectedChange {
+                    node_name: run.current.node(*id).name().to_string(),
                     ase: ase.expr.to_string(),
                     literals_saved: ase.literals_saved,
                     error_estimate: rate_store[idx][*state],
                     apparent: rate_store[idx][*state],
-                });
-                change_bounds.push(bounds_store[idx][*state]);
-                apply_ase(&mut current, *id, ase);
+                };
+                changes.push((change, Some(bounds_store[idx][*state])));
+                apply_ase(&mut run.current, *id, ase);
                 batch.push(*id);
             }
             // Resimulate and decide in one step, one undo span: the batch
@@ -212,27 +115,33 @@ pub(crate) fn multi_selection_with_context(
             // preserving per surviving node — only needs liveness
             // reconciliation. Under adaptive sampling the batch may be
             // rejected from a pattern prefix before propagation even runs.
-            let decision = ctx.update_and_accept(&mut inc, &mut current, &batch, true, config);
+            let decision = run.ctx.update_and_accept(
+                &mut run.inc,
+                &mut run.current,
+                &batch,
+                true,
+                &run.config,
+            );
             debug_assert!(
-                decision.is_none() || current.check().is_ok(),
+                decision.is_none() || run.current.check().is_ok(),
                 "network inconsistent after applying a multi-selection batch: {:?}",
-                current.check()
+                run.current.check()
             );
 
             let Some(new_error_rate) = decision else {
-                current = snapshot;
-                inc.rollback();
-                // Rate overshoot or magnitude violation: retrying with a
-                // halved capacity shrinks the batch until it fits (always on
-                // when a magnitude constraint is set, since the knapsack
-                // weights do not model magnitudes).
-                if (config.retry_on_overshoot || config.magnitude.is_some()) && capacity > 0 {
+                run.current = snapshot;
+                run.inc.rollback();
+                // The knapsack weights do not model magnitudes, so under a
+                // magnitude constraint a rejected batch is retried with half
+                // the capacity until it fits. Otherwise an overshoot ends the
+                // run, as in the paper.
+                if run.config.magnitude.is_some() && capacity > 0 {
                     capacity /= 2;
                     continue;
                 }
                 break 'outer;
             };
-            inc.commit();
+            run.inc.commit();
             // Invalidate on the pre-change snapshot, where every batch node
             // is still live: constant-propagation cascades stay inside
             // TFO(batch), whose fanout edges the snapshot already has.
@@ -240,63 +149,19 @@ pub(crate) fn multi_selection_with_context(
             // Batches propagate constants (restructuring users multi-level
             // deep), so the delay map is rebuilt rather than cone-patched.
             if let Some(scorer) = delay_scorer.as_mut() {
-                scorer.rebuild(&current);
+                scorer.rebuild(&run.current);
             }
-            error_rate = new_error_rate;
-            margin = config.threshold - error_rate;
-            let literals_after = current.literal_count();
-            let num_changes = changes.len();
-            for (change, &(lo, hi)) in changes.iter().zip(&change_bounds) {
-                config.telemetry.emit(|| Event::ChangeCommitted {
-                    iteration: iteration as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                    node: change.node_name.clone(),
-                    ase: change.ase.clone(),
-                    literals_saved: change.literals_saved as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                    apparent: change.apparent,
-                    static_lo: Some(lo),
-                    static_hi: Some(hi),
-                });
-            }
-            iterations.push(IterationRecord {
-                iteration,
-                changes,
-                literals_after,
-                error_rate_after: error_rate,
-            });
-            config.telemetry.emit(|| Event::IterationEnd {
-                iteration: iteration as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                changes: num_changes as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                literals: literals_after as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                error_rate,
-                nanos: Telemetry::nanos_since(iter_mark),
-            });
+            run.commit(changes, new_error_rate);
             break;
         }
-    }
-
-    debug_assert!(current.check().is_ok());
-    let final_literals = current.literal_count();
-    config.telemetry.emit(|| Event::RunEnd {
-        iterations: iterations.len() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-        literals: final_literals as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-        error_rate,
-        nanos: start.elapsed().as_nanos() as u64, // lint:allow(as-cast): run duration << 584 years
-    });
-    AlsOutcome {
-        final_literals,
-        measured_error_rate: error_rate,
-        network: current,
-        iterations,
-        initial_literals,
-        runtime: start.elapsed(),
-        metrics: collector.report(),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{approximate, AlsConfig, Strategy};
     use als_logic::{Cover, Cube};
+    use als_network::Network;
     use als_sim::{error_rate, PatternSet};
 
     fn cube(lits: &[(usize, bool)]) -> Cube {
@@ -325,7 +190,7 @@ mod tests {
         let net = parallel_net();
         // Each constant-0 ASE has apparent rate 1/16 ≈ 0.0625; a 25% budget
         // affords all three at once.
-        let out = multi_selection(&net, &AlsConfig::with_threshold(0.25));
+        let out = approximate(&net, Strategy::Multi, &AlsConfig::with_threshold(0.25)).unwrap();
         assert!(out.measured_error_rate <= 0.25 + 1e-12);
         assert!(!out.iterations.is_empty());
         assert!(
@@ -339,7 +204,7 @@ mod tests {
     #[test]
     fn respects_threshold_on_true_function() {
         let net = parallel_net();
-        let out = multi_selection(&net, &AlsConfig::with_threshold(0.10));
+        let out = approximate(&net, Strategy::Multi, &AlsConfig::with_threshold(0.10)).unwrap();
         let p = PatternSet::exhaustive(12).unwrap();
         let true_er = error_rate(&net, &out.network, &p);
         assert!(
@@ -351,18 +216,17 @@ mod tests {
     #[test]
     fn zero_threshold_changes_nothing_without_redundancy() {
         let net = parallel_net();
-        let out = multi_selection(&net, &AlsConfig::with_threshold(0.0));
+        let out = approximate(&net, Strategy::Multi, &AlsConfig::with_threshold(0.0)).unwrap();
         assert_eq!(out.measured_error_rate, 0.0);
         assert_eq!(out.final_literals, out.initial_literals);
     }
 
     #[test]
     fn fewer_iterations_than_single_selection() {
-        use crate::single_selection;
         let net = parallel_net();
         let config = AlsConfig::with_threshold(0.25);
-        let single = single_selection(&net, &config);
-        let multi = multi_selection(&net, &config);
+        let single = approximate(&net, Strategy::Single, &config).unwrap();
+        let multi = approximate(&net, Strategy::Multi, &config).unwrap();
         assert!(
             multi.iterations.len() <= single.iterations.len(),
             "multi ({}) must not take more iterations than single ({})",
@@ -381,7 +245,7 @@ mod tests {
         let mut config = AlsConfig::with_threshold(0.40);
         config.patterns = crate::PatternPolicy::Fixed(4096);
         config.magnitude = Some(MagnitudeConstraint { max_abs: 1 });
-        let out = multi_selection(&golden, &config);
+        let out = approximate(&golden, Strategy::Multi, &config).unwrap();
         let p = PatternSet::exhaustive(6).unwrap();
         let stats = magnitude_stats(&golden, &out.network, &p);
         assert!(
@@ -391,20 +255,11 @@ mod tests {
         );
         // Without the constraint the same budget allows larger deviations.
         config.magnitude = None;
-        let free = multi_selection(&golden, &config);
+        let free = approximate(&golden, Strategy::Multi, &config).unwrap();
         let free_stats = magnitude_stats(&golden, &free.network, &p);
         assert!(
             free_stats.max_abs >= stats.max_abs,
             "unconstrained run should deviate at least as much"
         );
-    }
-
-    #[test]
-    fn retry_on_overshoot_still_terminates() {
-        let net = parallel_net();
-        let mut config = AlsConfig::with_threshold(0.10);
-        config.retry_on_overshoot = true;
-        let out = multi_selection(&net, &config);
-        assert!(out.measured_error_rate <= 0.10 + 1e-12);
     }
 }

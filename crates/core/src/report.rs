@@ -44,7 +44,7 @@ pub struct AlsOutcome {
     pub network: Network,
     /// Committed iterations, in order.
     pub iterations: Vec<IterationRecord>,
-    /// Literal count of the input network (after the pre-process, before any
+    /// Literal count of the input network (before the pre-process and any
     /// approximation).
     pub initial_literals: usize,
     /// Literal count of the result.

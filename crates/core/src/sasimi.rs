@@ -1,24 +1,12 @@
-//! SASIMI — the *substitute-and-simplify* baseline (Venkataramani et al.,
-//! DATE'13), as configured in the DAC'16 paper's comparison.
-//!
-//! SASIMI's idea: find **signal pairs** `(target, substitute)` that agree on
-//! almost all input vectors, replace the target with the substitute (possibly
-//! inverted), and let the network simplify. The DAC'16 comparison disables
-//! SASIMI's timing handling and gate downsizing so it optimizes area only;
-//! this implementation reproduces that configuration.
-//!
-//! Candidate generation compares all signal pairs — quadratic in the signal
-//! count, which is exactly why the paper's node-local algorithms are faster
-//! (their complexity is linear in the node count).
+//! The SASIMI signal-substitution baseline; see
+//! [`Strategy::Sasimi`](crate::Strategy::Sasimi).
 
-use crate::report::{AlsOutcome, IterationRecord, SelectedChange};
-use crate::{AlsConfig, AlsContext};
+use crate::api::Run;
+use crate::report::SelectedChange;
+use crate::AlsContext;
 use als_logic::{Cover, Cube};
 use als_network::{Network, NodeId};
 use als_sim::SimView;
-use als_telemetry::{Event, MetricsCollector, Telemetry};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A candidate substitution: drive every user of `target` with `substitute`
 /// (inverted when `inverted` is set).
@@ -36,75 +24,13 @@ struct Candidate {
 /// SASIMI gives up (each trial costs a simulation).
 const TRIALS_PER_ITERATION: usize = 25;
 
-/// Runs SASIMI on `original` under the error-rate threshold in `config`.
-///
-/// Shared knobs (`num_patterns`, `seed`, `threshold`, `max_iterations`) are
-/// honoured; the ASE- and don't-care-related options do not apply. Prefer
-/// [`approximate`](crate::approximate) with
-/// [`Strategy::Sasimi`](crate::Strategy::Sasimi) for the non-panicking
-/// entry point.
-///
-/// # Panics
-///
-/// Panics if the input network fails its consistency check.
-pub fn sasimi(original: &Network, config: &AlsConfig) -> AlsOutcome {
-    original.check().expect("input network must be consistent"); // lint:allow(panic): documented panic contract; `approximate()` is the fallible entry
-    let ctx = AlsContext::new(original, config);
-    sasimi_with_context(original, config, ctx)
-}
-
-pub(crate) fn sasimi_with_context(
-    original: &Network,
-    config: &AlsConfig,
-    ctx: AlsContext,
-) -> AlsOutcome {
-    // lint:allow(nondeterminism): feeds telemetry wall-clock only, never the synthesis outcome
-    let start = Instant::now();
-    original.check().expect("input network must be consistent"); // lint:allow(panic): documented panic contract; `approximate()` is the fallible entry
-    let initial_literals = original.literal_count();
-
-    // Same sink arrangement as the paper's algorithms, so the baseline's
-    // runs are directly comparable in the perf records.
-    let collector = Arc::new(MetricsCollector::new());
-    let mut config = config.clone();
-    config.telemetry = config.telemetry.clone().with(collector.clone());
-    let config = &config;
-    let ctx = ctx
-        .with_telemetry(config.telemetry.clone())
-        .with_sampling(config);
-
-    config.telemetry.emit(|| Event::RunStart {
-        algorithm: "sasimi",
-        threads: 1, // the baseline's pairwise search is sequential
-        num_patterns: ctx.patterns().num_patterns(),
-        nodes: original.num_internal(),
-        threshold: config.threshold,
-        seed: config.seed,
-    });
-
-    let mut current = original.clone();
-    // The persistent incremental simulation state; trial substitutions are
-    // resimulated through dirty-set updates and rolled back when rejected.
-    let mut inc = ctx.incremental(&current);
-    inc.set_full_resim(config.resim.is_full());
-    let mut error_rate = ctx.measure_view(&current, inc.view());
-    let mut iterations: Vec<IterationRecord> = Vec::new();
-
-    for iteration in 1..=config.max_iterations {
-        let margin = config.threshold - error_rate;
-        if margin < 0.0 {
-            break;
-        }
-        // Cooperative cancellation: the network already satisfies the
-        // threshold at every iteration boundary, so stopping here is sound.
-        if config.cancel.is_cancelled() {
-            break;
-        }
-        let iter_mark = config.telemetry.start();
-        let candidates = generate_candidates(&current, inc.view(), &ctx, margin);
-        let mut committed = false;
+/// Runs SASIMI's loop on `run`: per iteration, the first of the
+/// best-ranked substitutions that fits the threshold and saves literals.
+pub(crate) fn select(run: &mut Run) {
+    'iterations: while run.next_iteration() {
+        let candidates = generate_candidates(&run.current, run.inc.view(), &run.ctx, run.margin());
         for cand in candidates.into_iter().take(TRIALS_PER_ITERATION) {
-            let mut trial = current.clone();
+            let mut trial = run.current.clone();
             // The dirty set, captured pre-apply: a constant replacement
             // rewrites the target in place; a substitution rebuilds the
             // covers of every user (the target itself is swept, and a new
@@ -120,84 +46,44 @@ pub(crate) fn sasimi_with_context(
             // propagation, liveness reconciled on the swept structure; under
             // adaptive sampling a bad trial is rejected from a prefix.
             let Some(new_error_rate) =
-                ctx.update_and_accept(&mut inc, &mut trial, &dirty, true, config)
+                run.ctx
+                    .update_and_accept(&mut run.inc, &mut trial, &dirty, true, &run.config)
             else {
-                inc.rollback();
+                run.inc.rollback();
                 continue;
             };
-            let saved = current
+            let saved = run
+                .current
                 .literal_count()
                 .saturating_sub(trial.literal_count());
             if saved == 0 {
-                inc.rollback();
+                run.inc.rollback();
                 continue;
             }
-            inc.commit();
-            error_rate = new_error_rate;
-            let literals_after = trial.literal_count();
+            run.inc.commit();
             // A substitution flips an output only on a vector where target
             // and substitute disagree, so the pairwise difference rate is
             // this change's apparent rate in the Theorem-1 sense.
-            let apparent = cand.difference as f64 / ctx.patterns().num_patterns() as f64; // lint:allow(as-cast): counts << 2^52, exact in f64
+            let apparent = cand.difference as f64 / run.ctx.patterns().num_patterns() as f64; // lint:allow(as-cast): counts << 2^52, exact in f64
             debug_assert!(
                 trial.check().is_ok(),
                 "network inconsistent after sasimi substitution: {:?}",
                 trial.check()
             );
-            config.telemetry.emit(|| Event::ChangeCommitted {
-                iteration: iteration as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                node: description.clone(),
+            run.current = trial;
+            let change = SelectedChange {
+                node_name: description,
                 ase: String::from("substitution"),
-                literals_saved: saved as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
+                literals_saved: saved,
+                error_estimate: apparent,
                 apparent,
-                // SASIMI's pairwise search never runs the static analysis.
-                static_lo: None,
-                static_hi: None,
-            });
-            iterations.push(IterationRecord {
-                iteration,
-                changes: vec![SelectedChange {
-                    node_name: description,
-                    ase: String::from("substitution"),
-                    literals_saved: saved,
-                    error_estimate: apparent,
-                    apparent,
-                }],
-                literals_after,
-                error_rate_after: error_rate,
-            });
-            current = trial;
-            committed = true;
-            config.telemetry.emit(|| Event::IterationEnd {
-                iteration: iteration as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                changes: 1,
-                literals: literals_after as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                error_rate,
-                nanos: Telemetry::nanos_since(iter_mark),
-            });
-            break;
+            };
+            // SASIMI's pairwise search never runs the static analysis.
+            run.commit(vec![(change, None)], new_error_rate);
+            continue 'iterations;
         }
-        if !committed {
-            break;
-        }
-    }
-
-    debug_assert!(current.check().is_ok());
-    let final_literals = current.literal_count();
-    config.telemetry.emit(|| Event::RunEnd {
-        iterations: iterations.len() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-        literals: final_literals as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-        error_rate,
-        nanos: start.elapsed().as_nanos() as u64, // lint:allow(as-cast): run duration << 584 years
-    });
-    AlsOutcome {
-        final_literals,
-        measured_error_rate: error_rate,
-        network: current,
-        iterations,
-        initial_literals,
-        runtime: start.elapsed(),
-        metrics: collector.report(),
+        // No trial fits the threshold and saves literals.
+        break;
     }
 }
 
@@ -353,6 +239,7 @@ fn apply(net: &mut Network, cand: &Candidate) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{approximate, AlsConfig, Strategy};
     use als_sim::{error_rate, PatternSet};
 
     fn cube(lits: &[(usize, bool)]) -> Cube {
@@ -391,7 +278,7 @@ mod tests {
         let net = near_duplicate_net();
         // g2 differs from g1 on 1/8 of inputs (a'b'c); a 20% budget allows
         // replacing g2 by g1.
-        let out = sasimi(&net, &AlsConfig::with_threshold(0.20));
+        let out = approximate(&net, Strategy::Sasimi, &AlsConfig::with_threshold(0.20)).unwrap();
         assert!(out.measured_error_rate <= 0.20 + 1e-12);
         assert!(
             out.final_literals < out.initial_literals,
@@ -408,7 +295,7 @@ mod tests {
     fn tight_budget_blocks_substitution() {
         let net = near_duplicate_net();
         // The only non-trivial substitution costs 12.5% error.
-        let out = sasimi(&net, &AlsConfig::with_threshold(0.01));
+        let out = approximate(&net, Strategy::Sasimi, &AlsConfig::with_threshold(0.01)).unwrap();
         assert_eq!(out.final_literals, out.initial_literals);
         assert_eq!(out.measured_error_rate, 0.0);
     }
@@ -430,7 +317,7 @@ mod tests {
         );
         net.add_po("y1", g1);
         net.add_po("y2", g2);
-        let out = sasimi(&net, &AlsConfig::with_threshold(0.0));
+        let out = approximate(&net, Strategy::Sasimi, &AlsConfig::with_threshold(0.0)).unwrap();
         assert_eq!(out.measured_error_rate, 0.0);
         assert!(out.final_literals < out.initial_literals);
     }
@@ -454,7 +341,7 @@ mod tests {
         );
         net.add_po("y1", g1);
         net.add_po("y2", g2);
-        let out = sasimi(&net, &AlsConfig::with_threshold(0.0));
+        let out = approximate(&net, Strategy::Sasimi, &AlsConfig::with_threshold(0.0)).unwrap();
         assert_eq!(out.measured_error_rate, 0.0);
         // g2 (2 literals) becomes one inverter on g1 (1 literal).
         assert!(out.final_literals < out.initial_literals);
@@ -464,7 +351,7 @@ mod tests {
     fn respects_threshold_on_arithmetic() {
         use als_circuits::adders::ripple_carry_adder;
         let net = ripple_carry_adder(4);
-        let out = sasimi(&net, &AlsConfig::with_threshold(0.05));
+        let out = approximate(&net, Strategy::Sasimi, &AlsConfig::with_threshold(0.05)).unwrap();
         assert!(out.measured_error_rate <= 0.05 + 1e-12);
         let p = PatternSet::exhaustive(8).unwrap();
         let er = error_rate(&net, &out.network, &p);

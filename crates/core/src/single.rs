@@ -1,156 +1,54 @@
-//! The single-selection algorithm (paper Algorithm 1).
+//! The single-selection algorithm (paper Algorithm 1); see
+//! [`Strategy::Single`](crate::Strategy::Single).
 
+use crate::api::Run;
 use crate::ase::{Ase, AseKind};
 use crate::delay_score::{score_gain, DelayScorer};
 use crate::engine::{CandidateEngine, CandidateEval};
 use crate::error_model::score;
-use crate::report::{AlsOutcome, IterationRecord, SelectedChange};
-use crate::{preprocess, AlsConfig, AlsContext};
+use crate::report::SelectedChange;
 use als_network::{Network, NodeId};
-use als_telemetry::{Event, MetricsCollector, PhaseKind, Telemetry};
-use std::sync::Arc;
-use std::time::Instant;
 
-/// Runs the single-selection algorithm: per iteration, every node's feasible
-/// ASEs are scored by `saved literals / estimated real error rate` (don't
-/// cares discarded per §3.3) and the single best change is applied; the loop
-/// stops when no feasible change remains or the measured error rate would
-/// exceed the threshold.
-///
-/// Candidate pricing is served by the [`CandidateEngine`]: node analyses
-/// (local-pattern probabilities, don't-cares, ASE estimates) are cached
-/// between iterations and re-computed — in parallel when
-/// [`AlsConfig::threads`] allows — only for nodes inside the invalidation
-/// cone of each committed change. That locality is what distinguishes this
-/// method from SASIMI's global pairwise search.
-///
-/// The returned network always satisfies the threshold (measured on the
-/// run's stimulus against the *original* network).
-///
-/// Prefer [`approximate`](crate::approximate) with
-/// [`Strategy::Single`](crate::Strategy::Single) for the non-panicking
-/// entry point; this wrapper is kept for compatibility.
-///
-/// # Panics
-///
-/// Panics if the input network fails its consistency check.
-pub fn single_selection(original: &Network, config: &AlsConfig) -> AlsOutcome {
-    let ctx = AlsContext::new(original, config);
-    single_selection_with_context(original, config, ctx)
-}
-
-/// Workload-aware variant of [`single_selection`]: the error-rate budget is
-/// measured under the supplied stimulus (see
-/// [`PatternSet::from_vectors`](als_sim::PatternSet::from_vectors)) instead
-/// of uniform random vectors.
-///
-/// # Panics
-///
-/// Panics if the input network fails its consistency check or the pattern
-/// set drives a different PI count.
-pub fn single_selection_under(
-    original: &Network,
-    config: &AlsConfig,
-    patterns: als_sim::PatternSet,
-) -> AlsOutcome {
-    let ctx = AlsContext::with_patterns(original, patterns);
-    single_selection_with_context(original, config, ctx)
-}
-
-pub(crate) fn single_selection_with_context(
-    original: &Network,
-    config: &AlsConfig,
-    ctx: AlsContext,
-) -> AlsOutcome {
-    // lint:allow(nondeterminism): feeds telemetry wall-clock only, never the synthesis outcome
-    let start = Instant::now();
-    original.check().expect("input network must be consistent"); // lint:allow(panic): documented panic contract; `approximate()` is the fallible entry
-    let initial_literals = original.literal_count();
-
-    // Metrics for `AlsOutcome::metrics` are gathered through the same sink
-    // machinery as user telemetry: an internal collector rides alongside any
-    // configured sinks. Events are coarse (per refresh / iteration), so the
-    // collector's cost is negligible and results are unaffected.
-    let collector = Arc::new(MetricsCollector::new());
-    let mut config = config.clone();
-    config.telemetry = config.telemetry.clone().with(collector.clone());
-    let config = &config;
-    let ctx = ctx
-        .with_telemetry(config.telemetry.clone())
-        .with_sampling(config);
-
-    config.telemetry.emit(|| Event::RunStart {
-        algorithm: "single-selection",
-        threads: crate::engine::resolve_threads(config.threads),
-        num_patterns: ctx.patterns().num_patterns(),
-        nodes: original.num_internal(),
-        threshold: config.threshold,
-        seed: config.seed,
-    });
-
-    let mut current = original.clone();
-    let pre_mark = config.telemetry.start();
-    if config.preprocess {
-        preprocess::remove_redundancies(&mut current, ctx.patterns());
-    }
-    config.telemetry.emit(|| Event::PhaseEnd {
-        phase: PhaseKind::Preprocess,
-        nanos: Telemetry::nanos_since(pre_mark),
-    });
-
-    // The persistent incremental simulation state: constructed with one full
-    // simulation, then kept current by dirty-set updates (`--resim full`
-    // degrades every update to a full pass; results are byte-identical).
-    let mut inc = ctx.incremental(&current);
-    inc.set_full_resim(config.resim.is_full());
-    let mut error_rate = ctx.measure_view(&current, inc.view());
-    let mut margin = config.threshold - error_rate;
-    let mut iterations: Vec<IterationRecord> = Vec::new();
-    let mut engine = CandidateEngine::new(config, true);
+/// Runs Algorithm 1's loop on `run`: one best-scored change per iteration.
+pub(crate) fn select(run: &mut Run) {
+    let mut engine = CandidateEngine::new(&run.config, true);
     // `None` under `DelayWeight::Off`: the legacy scoring path runs with no
     // delay machinery constructed at all (byte-identity is pinned by the
     // determinism suite).
-    let mut delay_scorer = DelayScorer::new(&current, config.delay_weight);
+    let mut delay_scorer = DelayScorer::new(&run.current, run.config.delay_weight);
 
-    for iteration in 1..=config.max_iterations {
-        if margin < 0.0 {
-            break;
-        }
-        // Cooperative cancellation: the network already satisfies the
-        // threshold at every iteration boundary, so stopping here is sound.
-        if config.cancel.is_cancelled() {
-            break;
-        }
-        let iter_mark = config.telemetry.start();
+    while run.next_iteration() {
+        let margin = run.margin();
         // The engine's static pruning may discard candidates whose sound
         // lower bound on the apparent rate exceeds the margin — exactly the
         // ones `best_candidate` would filter (when estimates equal apparent
         // rates; the engine disables pruning otherwise).
         engine.set_prune_budget(margin);
-        engine.refresh_from_view(&current, inc.view(), &ctx);
-        let Some((node, cand)) = best_candidate(&engine, margin, &current, delay_scorer.as_ref())
+        engine.refresh_from_view(&run.current, run.inc.view(), &run.ctx);
+        let Some((node, cand)) =
+            best_candidate(&engine, margin, &run.current, delay_scorer.as_ref())
         else {
             break;
         };
-        let snapshot = current.clone();
-        let node_name = current.node(node).name().to_string();
+        let snapshot = run.current.clone();
+        let node_name = run.current.node(node).name().to_string();
         let ase_display = cand.ase.expr.to_string();
-        let literals_saved = cand.ase.literals_saved;
 
-        apply_ase(&mut current, node, &cand.ase);
+        apply_ase(&mut run.current, node, &cand.ase);
 
         // Resimulate and decide in one step: under adaptive sampling this
         // may reject from a pattern prefix; accepted rates are always
         // measured at the full budget (see `AlsContext::update_and_accept`).
         let Some(new_error_rate) =
-            ctx.update_and_accept(&mut inc, &mut current, &[node], false, config)
+            run.ctx
+                .update_and_accept(&mut run.inc, &mut run.current, &[node], false, &run.config)
         else {
-            current = snapshot;
-            inc.rollback();
-            if config.magnitude.is_some() {
+            run.current = snapshot;
+            run.inc.rollback();
+            if run.config.magnitude.is_some() {
                 // Magnitude violations are routine (the estimate does not
                 // model them): suppress this candidate and keep searching.
-                engine.ban(&current, node, &cand.ase.expr);
+                engine.ban(&run.current, node, &cand.ase.expr);
                 continue;
             }
             // A pure rate violation is unreachable in practice (the estimate
@@ -158,79 +56,42 @@ pub(crate) fn single_selection_with_context(
             // returns the network of the last iteration.
             break;
         };
-        inc.commit();
+        run.inc.commit();
         // Two-cone invalidation: the pre-change network covers windows that
         // contained the edges the ASE removed, the post-change one covers the
         // new structure (see `CandidateEngine::invalidate_committed`).
         engine.invalidate_committed(&snapshot, &[node]);
-        engine.invalidate_committed(&current, &[node]);
+        engine.invalidate_committed(&run.current, &[node]);
         // Constant propagation is deferred to the end of the loop, so the
         // commit rewrote exactly one node in place and the delay map can
         // refresh its fanout cone incrementally.
         if let Some(scorer) = delay_scorer.as_mut() {
-            scorer.update_cone(&current, &[node]);
+            scorer.update_cone(&run.current, &[node]);
         }
         // Committed-state invariant, compiled out of release builds: the
         // network must still pass its structural check after every rewrite.
         debug_assert!(
-            current.check().is_ok(),
+            run.current.check().is_ok(),
             "network inconsistent after committing {node_name}: {:?}",
-            current.check()
+            run.current.check()
         );
-        error_rate = new_error_rate;
-        margin = config.threshold - error_rate;
-        let literals_after = current.literal_count();
-        config.telemetry.emit(|| Event::ChangeCommitted {
-            iteration: iteration as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-            node: node_name.clone(),
-            ase: ase_display.clone(),
-            literals_saved: literals_saved as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
+        let change = SelectedChange {
+            node_name,
+            ase: ase_display,
+            literals_saved: cand.ase.literals_saved,
+            error_estimate: cand.estimate,
             apparent: cand.apparent,
-            static_lo: Some(cand.static_lo),
-            static_hi: Some(cand.static_hi),
-        });
-        iterations.push(IterationRecord {
-            iteration,
-            changes: vec![SelectedChange {
-                node_name,
-                ase: ase_display,
-                literals_saved,
-                error_estimate: cand.estimate,
-                apparent: cand.apparent,
-            }],
-            literals_after,
-            error_rate_after: error_rate,
-        });
-        config.telemetry.emit(|| Event::IterationEnd {
-            iteration: iteration as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-            changes: 1,
-            literals: literals_after as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-            error_rate,
-            nanos: Telemetry::nanos_since(iter_mark),
-        });
+        };
+        run.commit(
+            vec![(change, Some((cand.static_lo, cand.static_hi)))],
+            new_error_rate,
+        );
     }
 
     // Constant propagation is deferred to the end so that each committed
     // change touches exactly one node (which keeps cache invalidation
     // local); it preserves the function, only tidying structure.
-    current.propagate_constants();
-    debug_assert!(current.check().is_ok());
-    let final_literals = current.literal_count();
-    config.telemetry.emit(|| Event::RunEnd {
-        iterations: iterations.len() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-        literals: final_literals as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-        error_rate,
-        nanos: start.elapsed().as_nanos() as u64, // lint:allow(as-cast): run duration << 584 years
-    });
-    AlsOutcome {
-        final_literals,
-        measured_error_rate: error_rate,
-        network: current,
-        iterations,
-        initial_literals,
-        runtime: start.elapsed(),
-        metrics: collector.report(),
-    }
+    run.current.propagate_constants();
 }
 
 /// Picks the highest-scoring feasible (estimate ≤ margin) engine candidate.
@@ -281,6 +142,7 @@ pub(crate) fn apply_ase(net: &mut Network, node: NodeId, ase: &Ase) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{approximate, AlsConfig, Strategy};
     use als_logic::{Cover, Cube};
     use als_sim::{error_rate, PatternSet};
 
@@ -319,7 +181,7 @@ mod tests {
     fn zero_threshold_only_removes_redundancy() {
         let net = rare_term_net();
         let config = AlsConfig::with_threshold(0.0);
-        let out = single_selection(&net, &config);
+        let out = approximate(&net, Strategy::Single, &config).unwrap();
         assert_eq!(out.measured_error_rate, 0.0);
         // The network is already irredundant: nothing to save for free.
         assert_eq!(out.final_literals, out.initial_literals);
@@ -329,7 +191,7 @@ mod tests {
     fn budget_buys_area() {
         let net = rare_term_net();
         let config = AlsConfig::with_threshold(0.05);
-        let out = single_selection(&net, &config);
+        let out = approximate(&net, Strategy::Single, &config).unwrap();
         assert!(out.measured_error_rate <= 0.05 + 1e-12);
         assert!(
             out.final_literals < out.initial_literals,
@@ -346,15 +208,15 @@ mod tests {
     #[test]
     fn larger_budget_never_hurts() {
         let net = rare_term_net();
-        let small = single_selection(&net, &AlsConfig::with_threshold(0.01));
-        let large = single_selection(&net, &AlsConfig::with_threshold(0.20));
+        let small = approximate(&net, Strategy::Single, &AlsConfig::with_threshold(0.01)).unwrap();
+        let large = approximate(&net, Strategy::Single, &AlsConfig::with_threshold(0.20)).unwrap();
         assert!(large.final_literals <= small.final_literals);
     }
 
     #[test]
     fn iterations_record_monotone_literal_decrease() {
         let net = rare_term_net();
-        let out = single_selection(&net, &AlsConfig::with_threshold(0.3));
+        let out = approximate(&net, Strategy::Single, &AlsConfig::with_threshold(0.3)).unwrap();
         let mut prev = out.initial_literals;
         for it in &out.iterations {
             assert!(it.literals_after < prev, "literals must strictly decrease");
@@ -368,7 +230,7 @@ mod tests {
         let net = rare_term_net();
         let mut config = AlsConfig::with_threshold(0.05);
         config.use_dont_cares = false;
-        let out = single_selection(&net, &config);
+        let out = approximate(&net, Strategy::Single, &config).unwrap();
         assert!(out.measured_error_rate <= 0.05 + 1e-12);
     }
 
@@ -394,7 +256,7 @@ mod tests {
             Cover::from_cubes(2, [cube(&[(0, true)]), cube(&[(1, true)])]),
         );
         net.add_po("y", y);
-        let out = single_selection(&net, &AlsConfig::with_threshold(0.0));
+        let out = approximate(&net, Strategy::Single, &AlsConfig::with_threshold(0.0)).unwrap();
         assert_eq!(out.measured_error_rate, 0.0);
         assert!(out.final_literals < net.literal_count());
     }
@@ -407,7 +269,7 @@ mod tests {
         let mut config = AlsConfig::with_threshold(0.40);
         config.patterns = crate::PatternPolicy::Fixed(4096);
         config.magnitude = Some(MagnitudeConstraint { max_abs: 1 });
-        let out = single_selection(&golden, &config);
+        let out = approximate(&golden, Strategy::Single, &config).unwrap();
         let p = PatternSet::exhaustive(6).unwrap();
         let stats = magnitude_stats(&golden, &out.network, &p);
         assert!(
@@ -423,8 +285,8 @@ mod tests {
         // Determinism per seed: two identical runs must agree exactly.
         let net = rare_term_net();
         let config = AlsConfig::with_threshold(0.10);
-        let a = single_selection(&net, &config);
-        let b = single_selection(&net, &config);
+        let a = approximate(&net, Strategy::Single, &config).unwrap();
+        let b = approximate(&net, Strategy::Single, &config).unwrap();
         assert_eq!(a.final_literals, b.final_literals);
         assert_eq!(a.measured_error_rate, b.measured_error_rate);
         assert_eq!(a.iterations.len(), b.iterations.len());

@@ -10,10 +10,10 @@
 //! Run with: `cargo run --release --example adder_tradeoff`
 
 use als::circuits::{carry_lookahead_adder, kogge_stone_adder, ripple_carry_adder};
-use als::core::{multi_selection, AlsConfig, PatternPolicy};
+use als::core::{approximate, AlsConfig, AlsError, PatternPolicy, Strategy};
 use als::mapper::{map_network, Library};
 
-fn main() {
+fn main() -> Result<(), AlsError> {
     let thresholds = [0.001, 0.01, 0.05];
     let adders = [
         ("RCA32", ripple_carry_adder(32)),
@@ -32,7 +32,7 @@ fn main() {
         for &t in &thresholds {
             let mut config = AlsConfig::with_threshold(t);
             config.patterns = PatternPolicy::Fixed(4096);
-            let outcome = multi_selection(golden, &config);
+            let outcome = approximate(golden, Strategy::Multi, &config)?;
             let area = map_network(&outcome.network, &lib).area();
             print!("{:>11.1}%", (1.0 - area / base) * 100.0);
             assert!(outcome.measured_error_rate <= t + 1e-12);
@@ -40,4 +40,5 @@ fn main() {
         println!();
     }
     println!("\n(values are mapped-area savings on the MCNC-like library)");
+    Ok(())
 }

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example blif_flow [path/to/circuit.blif]`
 //! (without an argument it uses the paper's Fig. 1 network).
 
-use als::core::{multi_selection, AlsConfig};
+use als::core::{approximate, AlsConfig, Strategy};
 use als::mapper::{map_network, Library};
 use als::network::blif;
 use als::sim::{error_rate, PatternSet};
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let config = AlsConfig::with_threshold(0.05);
-    let outcome = multi_selection(&golden, &config);
+    let outcome = approximate(&golden, Strategy::Multi, &config)?;
     println!("approximated: {outcome}");
 
     // Independent verification on a fresh pattern set (different seed than

@@ -12,9 +12,9 @@
 use als::bdd::exact_error_rate;
 use als::check::{cec, CecResult};
 use als::circuits::kogge_stone_adder;
-use als::core::{multi_selection, AlsConfig};
+use als::core::{approximate, AlsConfig, AlsError, Strategy};
 
-fn main() {
+fn main() -> Result<(), AlsError> {
     let golden = kogge_stone_adder(16); // 32 PIs: 4 billion input vectors
     println!(
         "golden KSA16: {} nodes, {} literals, 2^{} input vectors",
@@ -29,7 +29,7 @@ fn main() {
     );
     for threshold in [0.0, 0.01, 0.05] {
         let config = AlsConfig::with_threshold(threshold);
-        let outcome = multi_selection(&golden, &config);
+        let outcome = approximate(&golden, Strategy::Multi, &config)?;
         let exact = exact_error_rate(&golden, &outcome.network, 1 << 22)
             .expect("adder BDDs stay small under the structural order");
         let equivalence = match cec(&golden, &outcome.network) {
@@ -58,4 +58,5 @@ fn main() {
     }
     println!("\nat a 0% budget the result is *provably* equivalent (UNSAT miter);");
     println!("at positive budgets the exact rate quantifies the sampling gap.");
+    Ok(())
 }

@@ -9,10 +9,10 @@
 //! Run with: `cargo run --release --example magnitude_constrained`
 
 use als::circuits::ripple_carry_adder;
-use als::core::{multi_selection, AlsConfig, MagnitudeConstraint, PatternPolicy};
+use als::core::{approximate, AlsConfig, AlsError, MagnitudeConstraint, PatternPolicy, Strategy};
 use als::sim::{magnitude_stats, PatternSet};
 
-fn main() {
+fn main() -> Result<(), AlsError> {
     let golden = ripple_carry_adder(6);
     let patterns = PatternSet::exhaustive(12).expect("12 PIs are enumerable");
 
@@ -24,7 +24,7 @@ fn main() {
         let mut config = AlsConfig::with_threshold(0.25);
         config.patterns = PatternPolicy::Fixed(4096);
         config.magnitude = bound.map(|max_abs| MagnitudeConstraint { max_abs });
-        let outcome = multi_selection(&golden, &config);
+        let outcome = approximate(&golden, Strategy::Multi, &config)?;
         let stats = magnitude_stats(&golden, &outcome.network, &patterns);
         println!(
             "{:>12} {:>10} {:>10.4} {:>12} {:>12.4}",
@@ -43,4 +43,5 @@ fn main() {
     }
     println!("\ntighter magnitude bounds keep more literals but confine errors");
     println!("to the low-order sum bits.");
+    Ok(())
 }

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example multiplier_quality`
 
 use als::circuits::array_multiplier;
-use als::core::{single_selection, AlsConfig, PatternPolicy};
+use als::core::{approximate, AlsConfig, AlsError, PatternPolicy, Strategy};
 use als::network::Network;
 
 /// Multiplies through a network: drives the first 16 PIs with `a` and `b`,
@@ -29,7 +29,7 @@ fn product(net: &Network, a: u8, b: u8) -> u32 {
         .fold(0u32, |acc, (i, &v)| acc | (u32::from(v) << i))
 }
 
-fn main() {
+fn main() -> Result<(), AlsError> {
     let golden = array_multiplier(8);
     println!(
         "{:>9} {:>12} {:>12} {:>14} {:>14}",
@@ -38,7 +38,7 @@ fn main() {
     for threshold in [0.001, 0.01, 0.05, 0.10] {
         let mut config = AlsConfig::with_threshold(threshold);
         config.patterns = PatternPolicy::Fixed(4096);
-        let outcome = single_selection(&golden, &config);
+        let outcome = approximate(&golden, Strategy::Single, &config)?;
 
         // Exhaustive application-level evaluation: all 65 536 products.
         let mut wrong = 0u32;
@@ -73,4 +73,5 @@ fn main() {
     println!("\nthe error *rate* is bounded by construction; the error *magnitude*");
     println!("is whatever the removed literals imply — the paper's future-work");
     println!("extension would constrain both.");
+    Ok(())
 }

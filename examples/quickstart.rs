@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use als::core::{multi_selection, single_selection, AlsConfig};
+use als::core::{approximate, AlsConfig, Strategy};
 use als::network::blif;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 5% error-rate budget.
     let config = AlsConfig::with_threshold(0.05);
 
-    let single = single_selection(&golden, &config);
+    let single = approximate(&golden, Strategy::Single, &config)?;
     println!("\nsingle-selection: {single}");
     for it in &single.iterations {
         for ch in &it.changes {
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let multi = multi_selection(&golden, &config);
+    let multi = approximate(&golden, Strategy::Multi, &config)?;
     println!("\nmulti-selection:  {multi}");
 
     // The approximate networks still satisfy the budget — and can be

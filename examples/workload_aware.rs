@@ -6,14 +6,14 @@
 //! rarely are: here an 8-bit adder is used as an accumulator whose second
 //! operand is a small delta (0..16). Under that workload the high half of
 //! operand `b` is always zero, so a workload-aware run
-//! ([`single_selection_under`]) can strip logic a uniform run must keep —
+//! ([`approximate_under`]) can strip logic a uniform run must keep —
 //! at the price that the result is only valid *for that workload*, which
 //! the example quantifies.
 //!
 //! Run with: `cargo run --release --example workload_aware`
 
 use als::circuits::ripple_carry_adder;
-use als::core::{single_selection, single_selection_under, AlsConfig};
+use als::core::{approximate, approximate_under, AlsConfig, AlsError, Strategy};
 use als::sim::{error_rate, PatternSet};
 
 /// The accumulator workload: operand `a` uniform, operand `b` in 0..16.
@@ -31,7 +31,7 @@ fn accumulator_vectors(count: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), AlsError> {
     let golden = ripple_carry_adder(8);
     let budget = 0.05;
     let config = AlsConfig::with_threshold(budget);
@@ -40,9 +40,9 @@ fn main() {
     let uniform_patterns = PatternSet::random(16, 10_048, 99);
 
     // Uniform synthesis (the paper's setting).
-    let uniform_run = single_selection(&golden, &config);
+    let uniform_run = approximate(&golden, Strategy::Single, &config)?;
     // Workload-aware synthesis: the budget is measured under the workload.
-    let workload_run = single_selection_under(&golden, &config, workload());
+    let workload_run = approximate_under(&golden, Strategy::Single, &config, workload())?;
 
     println!(
         "8-bit adder, 5% error-rate budget ({} literals golden):",
@@ -68,4 +68,5 @@ fn main() {
 
     assert!(workload_run.final_literals <= uniform_run.final_literals);
     assert!(workload_run.measured_error_rate <= budget + 1e-12);
+    Ok(())
 }

@@ -13,8 +13,7 @@
 //! | [`sim`] | bit-parallel simulation, error-rate measurement, local-pattern statistics |
 //! | [`sat`] | a CDCL SAT solver (used for don't-care computation) |
 //! | [`dontcare`] | windowed SDC/ODC classification (enumeration and SAT engines) |
-//! | [`core`] | **the paper's contribution**: ASEs, both selection algorithms, the multi-state knapsack |
-//! | [`mod@sasimi`] | the SASIMI baseline (substitute-and-simplify) |
+//! | [`core`] | **the paper's contribution**: ASEs, both selection algorithms, the multi-state knapsack, and the SASIMI baseline they are compared against |
 //! | [`circuits`] | the Table 3 benchmark generators |
 //! | [`mapper`] | technology mapping onto an MCNC-like cell library |
 //! | [`bdd`] | ROBDDs for exact (non-sampled) error-rate verification |
@@ -61,11 +60,9 @@ pub use als_sim as sim;
 pub use als_telemetry as telemetry;
 
 // Convenience re-exports of the items used in almost every program.
-pub use als_core::sasimi;
-pub use als_core::sasimi::sasimi;
 pub use als_core::{
-    approximate, multi_selection, single_selection, AlsConfig, AlsError, AlsOutcome, DelayWeight,
-    MagnitudeConstraint, MetricsReport, PatternPolicy, PrunePolicy, ResimMode, Strategy,
+    approximate, AlsConfig, AlsError, AlsOutcome, DelayWeight, MagnitudeConstraint, MetricsReport,
+    PatternPolicy, PrunePolicy, ResimMode, Strategy,
 };
 pub use als_network::Network;
 

@@ -2,10 +2,9 @@
 //! → approximate → verify → map.
 
 use als::circuits::{all_benchmarks, ripple_carry_adder, wallace_tree_multiplier};
-use als::core::{multi_selection, single_selection, AlsConfig, PatternPolicy};
+use als::core::{approximate, AlsConfig, PatternPolicy, Strategy};
 use als::mapper::{map_network, Library};
 use als::network::blif;
-use als::sasimi::sasimi;
 use als::sim::{error_rate, PatternSet};
 
 fn quick_config(threshold: f64) -> AlsConfig {
@@ -23,9 +22,18 @@ fn all_algorithms_respect_threshold_exhaustively() {
     for threshold in [0.0, 0.02, 0.05, 0.10] {
         let config = quick_config(threshold);
         for (name, outcome) in [
-            ("single", single_selection(&golden, &config)),
-            ("multi", multi_selection(&golden, &config)),
-            ("sasimi", sasimi(&golden, &config)),
+            (
+                "single",
+                approximate(&golden, Strategy::Single, &config).unwrap(),
+            ),
+            (
+                "multi",
+                approximate(&golden, Strategy::Multi, &config).unwrap(),
+            ),
+            (
+                "sasimi",
+                approximate(&golden, Strategy::Sasimi, &config).unwrap(),
+            ),
         ] {
             outcome.network.check().unwrap();
             let true_er = error_rate(&golden, &outcome.network, &patterns);
@@ -42,7 +50,7 @@ fn all_algorithms_respect_threshold_exhaustively() {
 fn approximation_then_mapping_preserves_claimed_function() {
     let golden = ripple_carry_adder(8);
     let config = quick_config(0.05);
-    let outcome = multi_selection(&golden, &config);
+    let outcome = approximate(&golden, Strategy::Multi, &config).unwrap();
     let lib = Library::mcnc_like();
     let mapped = map_network(&outcome.network, &lib);
     // The mapped netlist must equal the approximate network exactly.
@@ -59,7 +67,7 @@ fn approximation_then_mapping_preserves_claimed_function() {
 #[test]
 fn blif_roundtrip_preserves_approximate_network() {
     let golden = ripple_carry_adder(4);
-    let outcome = single_selection(&golden, &quick_config(0.08));
+    let outcome = approximate(&golden, Strategy::Single, &quick_config(0.08)).unwrap();
     let text = blif::write(&outcome.network);
     let reparsed = blif::parse(&text).unwrap();
     let patterns = PatternSet::exhaustive(8).unwrap();
@@ -76,7 +84,7 @@ fn every_benchmark_survives_a_quick_multi_selection() {
         let golden = (bench.build)();
         let mut config = quick_config(0.03);
         config.max_iterations = 10; // keep CI time bounded
-        let outcome = multi_selection(&golden, &config);
+        let outcome = approximate(&golden, Strategy::Multi, &config).unwrap();
         outcome.network.check().unwrap();
         assert!(
             outcome.measured_error_rate <= 0.03 + 1e-12,
@@ -98,8 +106,8 @@ fn algorithm_ordering_on_area_matches_paper_trend() {
     // than multi-selection on the same circuit, and both track SASIMI.
     let golden = (all_benchmarks()[1].build)(); // c1908-class: most headroom
     let config = quick_config(0.05);
-    let single = single_selection(&golden, &config);
-    let multi = multi_selection(&golden, &config);
+    let single = approximate(&golden, Strategy::Single, &config).unwrap();
+    let multi = approximate(&golden, Strategy::Multi, &config).unwrap();
     assert!(
         single.final_literals <= multi.final_literals + multi.final_literals / 10,
         "single {} vs multi {}",
@@ -114,13 +122,13 @@ fn algorithm_ordering_on_area_matches_paper_trend() {
 fn deterministic_per_seed() {
     let golden = ripple_carry_adder(6);
     let config = quick_config(0.05);
-    let a = multi_selection(&golden, &config);
-    let b = multi_selection(&golden, &config);
+    let a = approximate(&golden, Strategy::Multi, &config).unwrap();
+    let b = approximate(&golden, Strategy::Multi, &config).unwrap();
     assert_eq!(a.final_literals, b.final_literals);
     assert_eq!(a.measured_error_rate, b.measured_error_rate);
     let mut c2 = config;
     c2.seed = 999;
     // A different seed may change the sample, but never break the contract.
-    let c = multi_selection(&golden, &c2);
+    let c = approximate(&golden, Strategy::Multi, &c2).unwrap();
     assert!(c.measured_error_rate <= 0.05 + 1e-12);
 }

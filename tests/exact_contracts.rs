@@ -5,8 +5,7 @@
 use als::bdd::exact_error_rate;
 use als::check::{cec, CecResult};
 use als::circuits::{carry_lookahead_adder, kogge_stone_adder, ripple_carry_adder};
-use als::core::{multi_selection, single_selection, AlsConfig};
-use als::sasimi::sasimi;
+use als::core::{approximate, AlsConfig, Strategy};
 
 const NODE_LIMIT: usize = 1 << 22;
 
@@ -21,9 +20,9 @@ fn zero_budget_runs_are_provably_equivalent() {
     let config = AlsConfig::with_threshold(0.0);
     for golden in &circuits {
         for outcome in [
-            single_selection(golden, &config),
-            multi_selection(golden, &config),
-            sasimi(golden, &config),
+            approximate(golden, Strategy::Single, &config).unwrap(),
+            approximate(golden, Strategy::Multi, &config).unwrap(),
+            approximate(golden, Strategy::Sasimi, &config).unwrap(),
         ] {
             assert_eq!(
                 cec(golden, &outcome.network),
@@ -44,7 +43,7 @@ fn exact_error_tracks_sampled_error() {
     let golden = kogge_stone_adder(10);
     for threshold in [0.01, 0.05] {
         let config = AlsConfig::with_threshold(threshold);
-        let outcome = multi_selection(&golden, &config);
+        let outcome = approximate(&golden, Strategy::Multi, &config).unwrap();
         let exact = exact_error_rate(&golden, &outcome.network, NODE_LIMIT).unwrap();
         // The synthesis-time estimate is a 10 048-vector sample of the exact
         // rate; the binomial standard error at these rates is < 0.004.
@@ -64,7 +63,7 @@ fn exact_error_tracks_sampled_error() {
 fn nonzero_error_implies_cec_counterexample() {
     let golden = kogge_stone_adder(8);
     let config = AlsConfig::with_threshold(0.05);
-    let outcome = multi_selection(&golden, &config);
+    let outcome = approximate(&golden, Strategy::Multi, &config).unwrap();
     let exact = exact_error_rate(&golden, &outcome.network, NODE_LIMIT).unwrap();
     match cec(&golden, &outcome.network) {
         CecResult::Equivalent => assert_eq!(exact, 0.0),

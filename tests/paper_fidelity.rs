@@ -3,8 +3,8 @@
 
 use als::core::knapsack::{solve, KnapsackItem, KnapsackState};
 use als::core::{
-    apparent_error_rate, estimated_real_error_rate, generate_ases, single_selection, AlsConfig,
-    PatternPolicy,
+    apparent_error_rate, approximate, estimated_real_error_rate, generate_ases, AlsConfig,
+    PatternPolicy, Strategy,
 };
 use als::dontcare::{compute_dont_cares, DontCareConfig};
 use als::logic::{Cover, Cube, Expr};
@@ -214,7 +214,7 @@ fn error_budget_consumed_monotonically() {
     let golden = als::circuits::wallace_tree_multiplier(3);
     let mut config = AlsConfig::with_threshold(0.10);
     config.patterns = PatternPolicy::Fixed(4096);
-    let outcome = single_selection(&golden, &config);
+    let outcome = approximate(&golden, Strategy::Single, &config).unwrap();
     let mut last = 0.0;
     for it in &outcome.iterations {
         assert!(it.error_rate_after + 1e-12 >= last, "error rate decreased");

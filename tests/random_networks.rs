@@ -2,10 +2,9 @@
 //! arbitrary small random networks, with the true error rate measured
 //! exhaustively.
 
-use als::core::{multi_selection, single_selection, AlsConfig, PatternPolicy};
+use als::core::{approximate, AlsConfig, PatternPolicy};
 use als::logic::{Cover, Cube};
 use als::network::{Network, NodeId};
-use als::sasimi::sasimi;
 use als::sim::{error_rate, PatternSet};
 use proptest::prelude::*;
 
@@ -67,7 +66,7 @@ proptest! {
         let threshold = f64::from(t_pct) / 100.0;
         let mut config = AlsConfig::with_threshold(threshold);
         config.patterns = PatternPolicy::Fixed(4096); // ≈128 samples of each of the 32 input points
-        let outcome = single_selection(&golden, &config);
+        let outcome = approximate(&golden, als::Strategy::Single, &config).unwrap();
         outcome.network.check().unwrap();
         prop_assert!(outcome.final_literals <= outcome.initial_literals);
         let patterns = PatternSet::exhaustive(NUM_PIS).unwrap();
@@ -84,7 +83,7 @@ proptest! {
         let threshold = f64::from(t_pct) / 100.0;
         let mut config = AlsConfig::with_threshold(threshold);
         config.patterns = PatternPolicy::Fixed(4096);
-        let outcome = multi_selection(&golden, &config);
+        let outcome = approximate(&golden, als::Strategy::Multi, &config).unwrap();
         outcome.network.check().unwrap();
         prop_assert!(outcome.final_literals <= outcome.initial_literals);
         let patterns = PatternSet::exhaustive(NUM_PIS).unwrap();
@@ -99,7 +98,7 @@ proptest! {
         let threshold = f64::from(t_pct) / 100.0;
         let mut config = AlsConfig::with_threshold(threshold);
         config.patterns = PatternPolicy::Fixed(4096);
-        let outcome = sasimi(&golden, &config);
+        let outcome = approximate(&golden, als::Strategy::Sasimi, &config).unwrap();
         outcome.network.check().unwrap();
         prop_assert!(outcome.final_literals <= outcome.initial_literals);
         let patterns = PatternSet::exhaustive(NUM_PIS).unwrap();
@@ -115,8 +114,8 @@ proptest! {
         config.patterns = PatternPolicy::Fixed(4096);
         let patterns = PatternSet::exhaustive(NUM_PIS).unwrap();
         for outcome in [
-            single_selection(&golden, &config),
-            multi_selection(&golden, &config),
+            approximate(&golden, als::Strategy::Single, &config).unwrap(),
+            approximate(&golden, als::Strategy::Multi, &config).unwrap(),
         ] {
             // At a zero budget the output must be functionally identical —
             // redundancy removal and exact ASEs only.

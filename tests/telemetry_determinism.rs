@@ -105,10 +105,10 @@ proptest! {
     fn sinks_never_change_the_outcome(
         seed in 1u64..1000,
         circuit_index in 0usize..3,
-        strategy_index in 0usize..2,
+        strategy_index in 0usize..3,
     ) {
         let net = circuit(circuit_index);
-        let strategy = [Strategy::Single, Strategy::Multi][strategy_index];
+        let strategy = [Strategy::Single, Strategy::Multi, Strategy::Sasimi][strategy_index];
         let want = fingerprint(
             &approximate(&net, strategy, &config(seed, 1, Telemetry::disabled())).unwrap(),
         );
