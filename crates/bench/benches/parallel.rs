@@ -7,7 +7,7 @@
 //! are identical at every count — only the wall clock moves.
 
 use als_circuits::ripple_carry_adder;
-use als_core::{AlsConfig, AlsContext, CandidateEngine, PatternPolicy};
+use als_core::{AlsConfig, AlsContext, CandidateEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -18,7 +18,7 @@ fn bench_parallel_refresh(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         let config = AlsConfig::builder()
             .threshold(0.05)
-            .patterns(PatternPolicy::Fixed(2048))
+            .patterns(2048)
             .threads(threads)
             .build()
             .expect("valid bench config");

@@ -4,13 +4,13 @@
 //! miniature.
 
 use als_circuits::ripple_carry_adder;
-use als_core::{approximate, AlsConfig, PatternPolicy, Strategy};
+use als_core::{approximate, AlsConfig, Strategy};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn quick_config() -> AlsConfig {
     let mut config = AlsConfig::with_threshold(0.03);
-    config.patterns = PatternPolicy::Fixed(1024);
+    config.patterns = 1024;
     config.dont_care.method = als_dontcare::DontCareMethod::Enumerate;
     config
 }

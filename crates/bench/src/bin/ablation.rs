@@ -4,7 +4,7 @@
 //! Usage: `cargo run --release -p als-bench --bin ablation [--quick]`.
 
 use als_circuits::registry::find_benchmark;
-use als_core::{approximate, AlsConfig, PatternPolicy, Strategy};
+use als_core::{approximate, AlsConfig, Strategy};
 use als_dontcare::DontCareMethod;
 use als_mapper::{map_network, Library};
 
@@ -73,7 +73,7 @@ fn main() {
             let base_area = map_network(&golden, &lib).area();
             let mut config = AlsConfig::with_threshold(0.05);
             if quick {
-                config.patterns = PatternPolicy::Fixed(2048);
+                config.patterns = 2048;
             }
             (v.configure)(&mut config);
             let outcome = approximate(&golden, Strategy::Single, &config)

@@ -24,9 +24,7 @@
 #![warn(missing_docs)]
 
 use als_circuits::{all_benchmarks, Benchmark};
-use als_core::{
-    approximate_with_context, AlsConfig, AlsOutcome, CircuitArtifacts, PatternPolicy, Strategy,
-};
+use als_core::{approximate_with_context, AlsConfig, AlsOutcome, CircuitArtifacts, Strategy};
 use als_mapper::{map_network, Library};
 use als_network::Network;
 
@@ -113,20 +111,10 @@ pub fn run_one(
 ) -> RunResult {
     let mut config = AlsConfig::with_threshold(threshold);
     config.threads = threads;
-    // Adaptive sampling in both modes: it rejects most trials from a
-    // pattern prefix, and outcomes stay byte-identical to the fixed budget
-    // (see `AlsContext::update_and_accept`). Don't-cares are classified by
-    // SAT, the paper's method and the default.
+    // Quick mode measures on 2,048 patterns; full mode keeps the paper's
+    // 10,048.
     if quick {
-        config.patterns = PatternPolicy::Adaptive {
-            min: 256,
-            max: 2048,
-        };
-    } else {
-        config.patterns = PatternPolicy::Adaptive {
-            min: 1024,
-            max: config.pattern_budget(),
-        };
+        config.patterns = 2048;
     }
     let (ctx, _) = golden.context(&config);
     let outcome: AlsOutcome =

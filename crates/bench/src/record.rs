@@ -24,7 +24,7 @@ impl Default for CompareOptions {
 /// one human-readable line per regression (empty = pass).
 ///
 /// Points are matched by their grid identity (algorithm, threshold,
-/// pattern policy, delay weight); points present on only one side are
+/// pattern count, delay weight); points present on only one side are
 /// ignored (grid-coverage changes, not regressions). Two gates:
 ///
 /// * **Frontier regression** — a point whose baseline twin was
@@ -105,7 +105,7 @@ mod tests {
         als_core::sweep::SweepPoint {
             algorithm: "single-selection".into(),
             threshold,
-            patterns: "fixed:512".into(),
+            patterns: 512,
             delay_weight: "off".into(),
             literals: lits,
             literal_ratio: 1.0,

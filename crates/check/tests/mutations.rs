@@ -139,7 +139,7 @@ fn certified_run() -> (Network, Network, String) {
     let buf = SharedBuf::default();
     let config = als_core::AlsConfig::builder()
         .threshold(0.08)
-        .patterns(als_core::PatternPolicy::Fixed(2048))
+        .patterns(2048)
         .seed(3)
         .telemetry(Telemetry::from(Arc::new(JsonlSink::new(buf.clone()))))
         .build()

@@ -127,14 +127,13 @@ pub fn approximate_under(
 
 /// [`approximate`] with a caller-supplied [`AlsContext`] — the
 /// artifact-sharing entry point. [`CircuitArtifacts::context`](crate::CircuitArtifacts::context)
-/// builds one context per (pattern budget, seed) and hands every run a
+/// builds one context per (pattern count, seed) and hands every run a
 /// clone, amortizing the golden simulation.
 ///
 /// **Byte-identity contract:** when `ctx` carries the stimulus
 /// [`approximate`] would draw itself —
-/// `PatternSet::random(net.num_pis(), config.pattern_budget(), config.seed)`
-/// — and the config's sampling policy (see [`AlsContext::with_sampling`]),
-/// the outcome is byte-identical to a cold [`approximate`] call. The caller
+/// `PatternSet::random(net.num_pis(), config.patterns, config.seed)` — the
+/// outcome is byte-identical to a cold [`approximate`] call. The caller
 /// owns that contract; a mismatched context simply measures under its own
 /// stimulus, like [`approximate_under`].
 ///
@@ -239,9 +238,7 @@ impl Run {
         let collector = Arc::new(MetricsCollector::new());
         let mut config = config.clone();
         config.telemetry = config.telemetry.with(collector.clone());
-        let ctx = ctx
-            .with_telemetry(config.telemetry.clone())
-            .with_sampling(&config);
+        let ctx = ctx.with_telemetry(config.telemetry.clone());
         // SASIMI's pairwise search is sequential and runs no pre-process.
         let (algorithm, threads, preprocesses) = match strategy {
             Strategy::Single => ("single-selection", resolve_threads(config.threads), true),
@@ -407,7 +404,7 @@ mod tests {
         let net = toy();
         let config = AlsConfig::builder()
             .threshold(0.30)
-            .patterns(crate::PatternPolicy::Fixed(256))
+            .patterns(256)
             .build()
             .unwrap();
         for strategy in [Strategy::Single, Strategy::Multi, Strategy::Sasimi] {

@@ -4,20 +4,20 @@
 //! Every run needs the same prologue: check the circuit, technology-map it
 //! for the golden area/delay headline, run the abstract interpreter's
 //! signal-probability pass, and simulate the golden network once per
-//! (pattern budget, seed) to freeze the reference signatures.
+//! (pattern count, seed) to freeze the reference signatures.
 //! [`CircuitArtifacts`] is that prologue, computed once: the sweep
 //! orchestrator shares it across grid points, the `als serve` daemon across
 //! requests, and the bench harness across thresholds and algorithms.
 //!
 //! Byte-identity is preserved by construction: a cached [`AlsContext`] is
 //! exactly the `AlsContext::with_patterns` result [`AlsContext::new`] would
-//! build for the same `(PI count, pattern budget, seed)` triple, and every
-//! run gets a clone with its own telemetry handle and sampling policy
-//! attached, so results on [`CircuitArtifacts::context`] are bit-for-bit
-//! the results a cold [`approximate`](crate::approximate) call returns.
+//! build for the same `(PI count, pattern count, seed)` triple, and every
+//! run gets a clone with its own telemetry handle attached, so results on
+//! [`CircuitArtifacts::context`] are bit-for-bit the results a cold
+//! [`approximate`](crate::approximate) call returns.
 
 use crate::{AlsConfig, AlsContext, AlsError};
-use als_mapper::{map_network, DelayMap, Library};
+use als_mapper::{map_network, Library};
 use als_network::Network;
 use als_sim::PatternSet;
 use std::collections::BTreeMap;
@@ -34,23 +34,20 @@ pub struct CircuitArtifacts {
     pub golden_area: f64,
     /// Golden mapped critical-path delay.
     pub golden_delay: f64,
-    /// The golden network's topological delay map (arrival times and
-    /// criticalities), kept for delay-aware scoring and diagnostics.
-    pub delay_map: DelayMap,
     /// Nodes the abstract interpreter forced to worst-case Fréchet bounds
     /// (reconvergent fanout).
     pub absint_frechet_nodes: u64,
     /// Widest golden PO signal-probability interval.
     pub absint_max_po_width: f64,
-    /// Golden-simulation contexts, one per (pattern budget, seed). Built
+    /// Golden-simulation contexts, one per (pattern count, seed). Built
     /// under the lock so concurrent first requests for the same stimulus
     /// simulate the golden network once, not twice.
     contexts: Mutex<BTreeMap<(usize, u64), AlsContext>>,
 }
 
 impl CircuitArtifacts {
-    /// Checks `network` and builds the circuit-level artifacts: mapping,
-    /// delay map, absint summary. The golden-simulation contexts are filled
+    /// Checks `network` and builds the circuit-level artifacts: mapping and
+    /// absint summary. The golden-simulation contexts are filled
     /// lazily by [`CircuitArtifacts::context`].
     ///
     /// # Errors
@@ -63,7 +60,6 @@ impl CircuitArtifacts {
             .map_err(|e| AlsError::InvalidNetwork(e.to_string()))?;
         let lib = Library::mcnc_like();
         let mapped = map_network(&network, &lib);
-        let delay_map = DelayMap::build(&network, &lib);
         let probs = als_absint::signal_probabilities(&network, als_absint::Policy::Exact);
         let absint_max_po_width = network
             .pos()
@@ -77,7 +73,6 @@ impl CircuitArtifacts {
             golden_literals: network.literal_count() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
             golden_area: mapped.area(),
             golden_delay: mapped.delay(),
-            delay_map,
             absint_frechet_nodes: probs.frechet_count() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
             absint_max_po_width,
             network: Arc::new(network),
@@ -85,13 +80,13 @@ impl CircuitArtifacts {
         })
     }
 
-    /// A golden-simulation context for the config's (pattern budget, seed),
-    /// with the config's telemetry and sampling policy attached — ready to
-    /// hand to [`approximate_with_context`](crate::approximate_with_context).
+    /// A golden-simulation context for the config's (pattern count, seed),
+    /// with the config's telemetry attached — ready to hand to
+    /// [`approximate_with_context`](crate::approximate_with_context).
     /// Returns whether the context was served from the cache (`true`) or
     /// simulated fresh (`false`).
     pub fn context(&self, config: &AlsConfig) -> (AlsContext, bool) {
-        let key = (config.pattern_budget(), config.seed);
+        let key = (config.patterns, config.seed);
         let mut contexts = self.contexts.lock().unwrap_or_else(PoisonError::into_inner);
         let (ctx, hit) = if let Some(ctx) = contexts.get(&key) {
             (ctx.clone(), true)
@@ -102,11 +97,7 @@ impl CircuitArtifacts {
             (ctx, false)
         };
         drop(contexts);
-        (
-            ctx.with_telemetry(config.telemetry.clone())
-                .with_sampling(config),
-            hit,
-        )
+        (ctx.with_telemetry(config.telemetry.clone()), hit)
     }
 
     /// Golden-simulation contexts currently cached for this circuit.
@@ -121,7 +112,7 @@ impl CircuitArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approximate, approximate_with_context, PatternPolicy, Strategy};
+    use crate::{approximate, approximate_with_context, Strategy};
     use als_network::blif;
 
     fn rca(width: usize) -> CircuitArtifacts {
@@ -131,7 +122,7 @@ mod tests {
     fn config(threshold: f64, seed: u64) -> AlsConfig {
         AlsConfig::builder()
             .threshold(threshold)
-            .patterns(PatternPolicy::Fixed(256))
+            .patterns(256)
             .seed(seed)
             .build()
             .unwrap()
@@ -143,7 +134,6 @@ mod tests {
         assert!(arts.golden_literals > 0);
         assert!(arts.golden_area > 0.0);
         assert!(arts.golden_delay > 0.0);
-        assert!(arts.delay_map.critical() > 0.0);
         assert!(arts.absint_max_po_width >= 0.0);
     }
 

@@ -2,8 +2,6 @@ use crate::{AlsError, CancelToken};
 use als_dontcare::DontCareConfig;
 use als_sim::{DEFAULT_NUM_PATTERNS, MAX_LOCAL_FANINS};
 use als_telemetry::Telemetry;
-use std::fmt;
-use std::str::FromStr;
 
 /// How the engine refreshes signatures after an applied change.
 ///
@@ -101,101 +99,6 @@ impl DelayWeight {
     }
 }
 
-/// How many random simulation vectors each candidate evaluation uses.
-///
-/// **Tail-mask rounding:** stimulus is stored 64 patterns per machine word.
-/// The random generator rounds a requested count **up** to a whole number
-/// of words (the paper's 10 000 becomes 10 048), so under both policies the
-/// effective count is the rounded value and every stored word is fully
-/// populated; pattern sets built from explicit vectors keep exact
-/// non-multiple-of-64 counts by masking the unused high bits of the final
-/// word out of every count (the canonical-tail rule).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PatternPolicy {
-    /// Always simulate the full pattern budget (the paper's scheme).
-    Fixed(usize),
-    /// Start each candidate trial at `min` patterns and double toward `max`
-    /// only while the sample-sound interval around the measured error rate
-    /// still straddles the accept/reject boundary. Committed rates are
-    /// always confirmed at the full `max` budget, so outcomes are
-    /// byte-identical to `Fixed(max)` — adaptivity only changes how much
-    /// work *rejected* or clearly-decided candidates cost.
-    Adaptive {
-        /// Pattern count of the first probe round (rounded up to whole
-        /// 64-pattern words). Must be positive and at most `max`.
-        min: usize,
-        /// The full budget every committed rate is confirmed at.
-        max: usize,
-    },
-}
-
-impl PatternPolicy {
-    /// The full pattern budget: the fixed count, or `max` for adaptive
-    /// sampling. This is the count every committed error rate is measured
-    /// at.
-    #[inline]
-    #[must_use]
-    pub fn budget(&self) -> usize {
-        match *self {
-            PatternPolicy::Fixed(n) => n,
-            PatternPolicy::Adaptive { max, .. } => max,
-        }
-    }
-
-    /// The adaptive starting count, or `None` under fixed sampling.
-    #[inline]
-    #[must_use]
-    pub fn adaptive_min(&self) -> Option<usize> {
-        match *self {
-            PatternPolicy::Fixed(_) => None,
-            PatternPolicy::Adaptive { min, .. } => Some(min),
-        }
-    }
-}
-
-impl Default for PatternPolicy {
-    /// The paper's fixed 10 000-vector scheme (rounded to 10 048).
-    fn default() -> Self {
-        PatternPolicy::Fixed(DEFAULT_NUM_PATTERNS)
-    }
-}
-
-/// The spec syntax shared by the CLI, the serve protocol and sweep records:
-/// `fixed:N` or `adaptive:MIN..MAX`.
-impl fmt::Display for PatternPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PatternPolicy::Fixed(n) => write!(f, "fixed:{n}"),
-            PatternPolicy::Adaptive { min, max } => write!(f, "adaptive:{min}..{max}"),
-        }
-    }
-}
-
-/// Parses a policy spec: `fixed:N`, `adaptive:MIN..MAX`, or a bare count `N`
-/// (shorthand for `fixed:N`). Errors are plain descriptions for the caller
-/// to wrap.
-impl FromStr for PatternPolicy {
-    type Err = String;
-
-    fn from_str(spec: &str) -> Result<Self, String> {
-        if let Some(n) = spec.strip_prefix("fixed:") {
-            let n = n.parse().map_err(|e| format!("fixed count: {e}"))?;
-            return Ok(PatternPolicy::Fixed(n));
-        }
-        if let Some(range) = spec.strip_prefix("adaptive:") {
-            let (min, max) = range
-                .split_once("..")
-                .ok_or_else(|| String::from("adaptive policy wants MIN..MAX"))?;
-            let min = min.parse().map_err(|e| format!("adaptive MIN: {e}"))?;
-            let max = max.parse().map_err(|e| format!("adaptive MAX: {e}"))?;
-            return Ok(PatternPolicy::Adaptive { min, max });
-        }
-        spec.parse()
-            .map(PatternPolicy::Fixed)
-            .map_err(|e| format!("pattern count: {e}"))
-    }
-}
-
 /// An optional constraint on the numeric **error magnitude** — the paper's
 /// named future-work extension (§7). The POs are interpreted little-endian
 /// (PO `i` weighs `2^i`, the convention of the arithmetic benchmark
@@ -223,9 +126,12 @@ pub struct AlsConfig {
     /// The error rate threshold `T` (fraction of PI vectors allowed to
     /// produce a wrong output).
     pub threshold: f64,
-    /// The pattern-count policy: a fixed budget (paper: 10 000) or adaptive
-    /// growth between a minimum and the budget.
-    pub patterns: PatternPolicy,
+    /// How many random simulation vectors every error rate is measured on
+    /// (paper: 10 000, §6). The generator rounds the count up to whole
+    /// 64-pattern words, so the default is 10 048; pattern sets built from
+    /// explicit vectors keep exact counts and mask the unused bits of their
+    /// final word.
+    pub patterns: usize,
     /// Seed for the random stimulus (results are deterministic per seed).
     pub seed: u64,
     /// Windowing/engine settings for SDC/ODC computation.
@@ -301,7 +207,7 @@ impl AlsConfig {
         );
         AlsConfig {
             threshold,
-            patterns: PatternPolicy::default(),
+            patterns: DEFAULT_NUM_PATTERNS,
             seed: 0xA15_5EED,
             dont_care: DontCareConfig::default(),
             use_dont_cares: true,
@@ -319,14 +225,6 @@ impl AlsConfig {
             telemetry: Telemetry::disabled(),
             cancel: CancelToken::none(),
         }
-    }
-
-    /// The full pattern budget of the active [`PatternPolicy`] — the count
-    /// every committed error rate is measured at.
-    #[inline]
-    #[must_use]
-    pub fn pattern_budget(&self) -> usize {
-        self.patterns.budget()
     }
 
     /// A validating, non-panicking builder seeded with the paper defaults
@@ -356,23 +254,8 @@ impl AlsConfig {
                 self.threshold
             )));
         }
-        match self.patterns {
-            PatternPolicy::Fixed(0) => {
-                return Err(AlsError::InvalidConfig(
-                    "patterns: fixed num_patterns must be positive".into(),
-                ));
-            }
-            PatternPolicy::Adaptive { min: 0, .. } => {
-                return Err(AlsError::InvalidConfig(
-                    "patterns: adaptive min must be positive".into(),
-                ));
-            }
-            PatternPolicy::Adaptive { min, max } if min > max => {
-                return Err(AlsError::InvalidConfig(format!(
-                    "patterns: adaptive min must not exceed max, got min {min} > max {max}"
-                )));
-            }
-            _ => {}
+        if self.patterns == 0 {
+            return Err(AlsError::InvalidConfig("patterns must be positive".into()));
         }
         if self.max_fanins > MAX_LOCAL_FANINS {
             return Err(AlsError::InvalidConfig(format!(
@@ -425,8 +308,8 @@ impl AlsConfigBuilder {
         self
     }
 
-    /// Sets the pattern-count policy (fixed budget or adaptive growth).
-    pub fn patterns(mut self, patterns: PatternPolicy) -> Self {
+    /// Sets the number of random simulation vectors.
+    pub fn patterns(mut self, patterns: usize) -> Self {
         self.config.patterns = patterns;
         self
     }
@@ -565,8 +448,7 @@ mod tests {
     fn defaults_follow_the_paper() {
         let c = AlsConfig::default();
         assert_eq!(c.threshold, 0.05);
-        assert_eq!(c.patterns, PatternPolicy::Fixed(10_048));
-        assert_eq!(c.pattern_budget(), 10_048);
+        assert_eq!(c.patterns, 10_048);
         assert_eq!(c.max_enum_literals, 5);
         assert_eq!(c.dont_care.levels_in, 2);
         assert_eq!(c.dont_care.levels_out, 2);
@@ -581,12 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn pattern_policy_accessors() {
-        assert_eq!(PatternPolicy::Fixed(512).budget(), 512);
-        assert_eq!(PatternPolicy::Fixed(512).adaptive_min(), None);
-        let adaptive = PatternPolicy::Adaptive { min: 64, max: 512 };
-        assert_eq!(adaptive.budget(), 512);
-        assert_eq!(adaptive.adaptive_min(), Some(64));
+    fn policy_accessors() {
         assert!(ResimMode::Full.is_full());
         assert!(!ResimMode::Incremental.is_full());
         assert!(PrunePolicy::Static.is_enabled());
@@ -622,23 +499,8 @@ mod tests {
     fn builder_rejects_without_panicking() {
         let err = AlsConfig::builder().threshold(1.5).build().unwrap_err();
         assert!(matches!(err, AlsError::InvalidConfig(ref m) if m.contains("threshold")));
-        let err = AlsConfig::builder()
-            .patterns(PatternPolicy::Fixed(0))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, AlsError::InvalidConfig(ref m) if m.contains("num_patterns")));
-        let err = AlsConfig::builder()
-            .patterns(PatternPolicy::Adaptive { min: 0, max: 512 })
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(err, AlsError::InvalidConfig(ref m) if m.contains("min must be positive"))
-        );
-        let err = AlsConfig::builder()
-            .patterns(PatternPolicy::Adaptive { min: 513, max: 512 })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, AlsError::InvalidConfig(ref m) if m.contains("min must not exceed")));
+        let err = AlsConfig::builder().patterns(0).build().unwrap_err();
+        assert!(matches!(err, AlsError::InvalidConfig(ref m) if m.contains("patterns")));
         let err = AlsConfig::builder().max_fanins(64).build().unwrap_err();
         assert!(matches!(err, AlsError::InvalidConfig(ref m) if m.contains("max_fanins")));
         let err = AlsConfig::builder()
@@ -663,26 +525,5 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.delay_weight, DelayWeight::Scaled(2.0));
-    }
-
-    /// The spec syntax round-trips through `Display`/`FromStr`, and a bare
-    /// count is shorthand for a fixed budget.
-    #[test]
-    fn pattern_specs_round_trip() {
-        let adaptive = PatternPolicy::Adaptive { min: 64, max: 512 };
-        for (spec, policy) in [
-            ("fixed:512", PatternPolicy::Fixed(512)),
-            ("adaptive:64..512", adaptive),
-        ] {
-            assert_eq!(spec.parse::<PatternPolicy>(), Ok(policy));
-            assert_eq!(policy.to_string(), spec);
-        }
-        assert_eq!(
-            "256".parse::<PatternPolicy>(),
-            Ok(PatternPolicy::Fixed(256))
-        );
-        let err = |spec: &str| spec.parse::<PatternPolicy>().unwrap_err();
-        assert!(err("adaptive:64").contains("MIN..MAX"));
-        assert!(err("several").contains("pattern count"));
     }
 }

@@ -1,9 +1,8 @@
 use crate::AlsConfig;
-use als_absint::Interval;
 use als_network::{Network, NodeId};
 use als_sim::{
-    error_count_range_from_view, error_rate_from_view, magnitude_stats_from_view, po_words,
-    simulate, IncrementalSim, PatternSet, SimResult, SimView, UpdateDelta,
+    error_rate_from_view, magnitude_stats_from_view, po_words, simulate, IncrementalSim,
+    PatternSet, SimResult, SimView,
 };
 use als_telemetry::{Event, Telemetry};
 
@@ -11,16 +10,13 @@ use als_telemetry::{Event, Telemetry};
 /// signatures of the *original* network) and the stimulus, so every
 /// iteration measures the error rate against the unmodified input circuit.
 // Clone shares nothing mutable: a sweep builds one context per pattern
-// budget (paying the golden simulation once) and hands each grid job its
+// count (paying the golden simulation once) and hands each grid job its
 // own copy.
 #[derive(Clone, Debug)]
 pub struct AlsContext {
     patterns: PatternSet,
     reference_po_words: Vec<Vec<u64>>,
     telemetry: Telemetry,
-    /// Starting word prefix for adaptive pattern sampling (`None` = fixed
-    /// sampling: every trial simulates the full pattern budget at once).
-    adaptive_min_words: Option<usize>,
 }
 
 impl AlsContext {
@@ -28,10 +24,8 @@ impl AlsContext {
     /// the golden reference, drawing uniform random stimulus from the config
     /// (the paper's setting).
     pub fn new(original: &Network, config: &AlsConfig) -> Self {
-        let patterns = PatternSet::random(original.num_pis(), config.pattern_budget(), config.seed);
-        Self::with_patterns(original, patterns)
-            .with_telemetry(config.telemetry.clone())
-            .with_sampling(config)
+        let patterns = PatternSet::random(original.num_pis(), config.patterns, config.seed);
+        Self::with_patterns(original, patterns).with_telemetry(config.telemetry.clone())
     }
 
     /// Like [`AlsContext::new`] but with caller-supplied stimulus — the
@@ -45,7 +39,6 @@ impl AlsContext {
             patterns,
             reference_po_words,
             telemetry: Telemetry::disabled(),
-            adaptive_min_words: None,
         }
     }
 
@@ -57,19 +50,6 @@ impl AlsContext {
         self
     }
 
-    /// Adopts the config's [`PatternPolicy`](crate::PatternPolicy): under
-    /// `Adaptive { min, .. }` trial measurements in
-    /// [`update_and_accept`](AlsContext::update_and_accept) start from a
-    /// `⌈min/64⌉`-word prefix of the stimulus and escalate; under `Fixed`
-    /// every trial simulates the full budget at once, as before.
-    pub fn with_sampling(mut self, config: &AlsConfig) -> Self {
-        self.adaptive_min_words = config
-            .patterns
-            .adaptive_min()
-            .map(|min| min.div_ceil(64).max(1));
-        self
-    }
-
     /// The stimulus all measurements share.
     pub fn patterns(&self) -> &PatternSet {
         &self.patterns
@@ -78,12 +58,6 @@ impl AlsContext {
     /// The number of POs the golden reference holds signatures for.
     pub(crate) fn num_pos(&self) -> usize {
         self.reference_po_words.len()
-    }
-
-    /// The starting word prefix for adaptive probes (`None` under fixed
-    /// sampling).
-    pub(crate) fn adaptive_min_words(&self) -> Option<usize> {
-        self.adaptive_min_words
     }
 
     /// Emits one aggregated `similarity_scanned` event for a SASIMI
@@ -132,31 +106,9 @@ impl AlsContext {
     /// Runs one incremental dirty-set update of `inc` against the current
     /// structure of `candidate`, emitting a `Resimulated` event with the
     /// work counters.
-    fn update_resim(
-        &self,
-        inc: &mut IncrementalSim,
-        candidate: &Network,
-        dirty: &[NodeId],
-    ) -> UpdateDelta {
-        let wps = inc.words_per_signal();
-        self.update_resim_range(inc, candidate, dirty, 0, wps)
-    }
-
-    /// [`update_resim`](AlsContext::update_resim) restricted to the word
-    /// range `[start_word, end_word)` of every recomputed signature — the
-    /// adaptive-sampling probe primitive. Same structural contract as
-    /// [`IncrementalSim::update_range`]: no structural edits between the
-    /// ranged rounds of one span.
-    fn update_resim_range(
-        &self,
-        inc: &mut IncrementalSim,
-        candidate: &Network,
-        dirty: &[NodeId],
-        start_word: usize,
-        end_word: usize,
-    ) -> UpdateDelta {
+    fn update_resim(&self, inc: &mut IncrementalSim, candidate: &Network, dirty: &[NodeId]) {
         let mark = self.telemetry.start();
-        let delta = inc.update_range(candidate, dirty, start_word, end_word);
+        let delta = inc.update(candidate, dirty);
         self.telemetry.emit(|| Event::Resimulated {
             dirty: delta.dirty,
             resim_nodes: delta.resim_nodes,
@@ -165,7 +117,6 @@ impl AlsContext {
             words: delta.words_simulated,
             nanos: Telemetry::nanos_since(mark),
         });
-        delta
     }
 
     /// Measures the error rate of `candidate` from already-up-to-date
@@ -203,41 +154,14 @@ impl AlsContext {
     }
 
     /// Resimulates one trial change (dirty set `dirty` applied to `trial`)
-    /// and decides acceptance, escalating the simulated pattern prefix
-    /// adaptively when the context was built with
-    /// [`PatternPolicy::Adaptive`](crate::PatternPolicy::Adaptive).
+    /// over the full pattern set and decides acceptance.
     ///
-    /// Each probe round extends signature coverage to a word prefix and
-    /// counts erroneous patterns over the new words only. With `e` errors
-    /// over `c` covered patterns out of `N`, the final full-budget rate is
-    /// provably inside the sample-sound interval `[e/N, (e + N − c)/N]`
-    /// (the uncovered patterns can contribute between 0 and `N − c` further
-    /// errors). The escalation rule:
-    ///
-    /// - interval entirely above the threshold (`e/N > t`): the full
-    ///   measurement could only be larger, so the trial is rejected now,
-    ///   skipping the remaining words (`sampling_escalated` event with
-    ///   `early_reject: true`);
-    /// - interval entirely at or below the threshold: the rate test cannot
-    ///   fail, so coverage jumps straight to the full budget;
-    /// - interval straddles the threshold: coverage doubles and the probe
-    ///   repeats.
-    ///
-    /// **Measurement identity:** every *accepted* trial (and every rejection
-    /// that reaches full coverage) is measured over the complete pattern
-    /// budget — word-identical arithmetic to fixed sampling — and an early
-    /// reject fires only when fixed sampling would also have rejected on the
-    /// rate. Outcomes are therefore byte-identical to
-    /// [`PatternPolicy::Fixed`](crate::PatternPolicy::Fixed) at the same
-    /// budget; only the amount of simulation work differs.
-    ///
-    /// When `propagate` is set, `trial.propagate_constants()` runs after
-    /// full coverage (never between probe rounds — propagation rewrites
-    /// nodes outside the dirty set, which would violate
-    /// [`IncrementalSim::update_range`]'s structural contract), followed by
-    /// an empty-dirty reconciliation update, matching the two-phase protocol
-    /// of multi-selection and SASIMI. All updates share one undo span:
-    /// callers still pair this with `inc.commit()` / `inc.rollback()`.
+    /// When `propagate` is set, `trial.propagate_constants()` runs after the
+    /// dirty set is resimulated, followed by an empty-dirty reconciliation
+    /// update: the two-phase protocol of multi-selection and SASIMI, whose
+    /// constant sweeps rewrite users that were never dirty. All updates
+    /// share one undo span: callers pair this with `inc.commit()` /
+    /// `inc.rollback()`.
     pub fn update_and_accept(
         &self,
         inc: &mut IncrementalSim,
@@ -246,60 +170,7 @@ impl AlsContext {
         propagate: bool,
         config: &AlsConfig,
     ) -> Option<f64> {
-        let wps = inc.words_per_signal();
-        let num_patterns = self.patterns.num_patterns();
-        let start_words = self.adaptive_min_words.unwrap_or(wps).min(wps);
-        if start_words >= wps {
-            // Fixed sampling (or an adaptive floor at/above the budget):
-            // one full-width update, exactly the pre-adaptive sequence.
-            self.update_resim(inc, trial, dirty);
-        } else {
-            let mut covered = 0usize;
-            let mut end = start_words;
-            let mut errors = 0u64;
-            while end < wps {
-                self.update_resim_range(inc, trial, dirty, covered, end);
-                errors += error_count_range_from_view(
-                    &self.reference_po_words,
-                    trial,
-                    inc.view(),
-                    covered,
-                    end,
-                );
-                let from = covered;
-                covered = end;
-                // `covered < wps`, so every covered word is a full 64
-                // patterns and the uncovered remainder is positive.
-                let seen = covered * 64;
-                let n = num_patterns as f64; // lint:allow(as-cast): counts << 2^52, exact in f64
-                let bound = Interval::new(
-                    errors as f64 / n, // lint:allow(as-cast): counts << 2^52, exact in f64
-                    (errors + (num_patterns - seen) as u64) as f64 / n, // lint:allow(as-cast): counts << 2^52, exact in f64
-                );
-                if bound.lo > config.threshold {
-                    self.telemetry.emit(|| Event::SamplingEscalated {
-                        from_words: from as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                        to_words: covered as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                        errors,
-                        early_reject: true,
-                    });
-                    return None;
-                }
-                if bound.hi <= config.threshold {
-                    break;
-                }
-                self.telemetry.emit(|| Event::SamplingEscalated {
-                    from_words: from as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                    to_words: covered as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-                    errors,
-                    early_reject: false,
-                });
-                end = (end * 2).min(wps);
-            }
-            if covered < wps {
-                self.update_resim_range(inc, trial, dirty, covered, wps);
-            }
-        }
+        self.update_resim(inc, trial, dirty);
         if propagate {
             trial.propagate_constants();
             self.update_resim(inc, trial, &[]);

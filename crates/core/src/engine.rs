@@ -668,7 +668,7 @@ mod tests {
 
     fn test_config() -> AlsConfig {
         let mut config = AlsConfig::with_threshold(0.10);
-        config.patterns = crate::PatternPolicy::Fixed(256);
+        config.patterns = 256;
         config
     }
 

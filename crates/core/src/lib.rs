@@ -81,8 +81,7 @@ pub use artifacts::CircuitArtifacts;
 pub use ase::{generate_ases, Ase, AseKind};
 pub use cancel::CancelToken;
 pub use config::{
-    AlsConfig, AlsConfigBuilder, DelayWeight, MagnitudeConstraint, PatternPolicy, PrunePolicy,
-    ResimMode,
+    AlsConfig, AlsConfigBuilder, DelayWeight, MagnitudeConstraint, PrunePolicy, ResimMode,
 };
 pub use context::AlsContext;
 pub use engine::{CandidateEngine, CandidateEval};
@@ -105,7 +104,7 @@ pub use als_telemetry::{
 ///
 /// let config = AlsConfig::builder()
 ///     .threshold(0.05)
-///     .patterns(PatternPolicy::Adaptive { min: 1024, max: 10_048 })
+///     .patterns(10_048)
 ///     .resim(ResimMode::Incremental)
 ///     .build()?;
 /// # let _ = (config, Strategy::Single);
@@ -114,6 +113,6 @@ pub use als_telemetry::{
 pub mod prelude {
     pub use crate::{
         approximate, approximate_under, AlsConfig, AlsError, AlsOutcome, CancelToken, DelayWeight,
-        MagnitudeConstraint, MetricsReport, PatternPolicy, PrunePolicy, ResimMode, Strategy,
+        MagnitudeConstraint, MetricsReport, PrunePolicy, ResimMode, Strategy,
     };
 }

@@ -113,8 +113,7 @@ pub(crate) fn select(run: &mut Run) {
             // rewrites users of swept nodes multi-level deep without marking
             // them dirty), then the propagated structure — function-
             // preserving per surviving node — only needs liveness
-            // reconciliation. Under adaptive sampling the batch may be
-            // rejected from a pattern prefix before propagation even runs.
+            // reconciliation.
             let decision = run.ctx.update_and_accept(
                 &mut run.inc,
                 &mut run.current,
@@ -243,7 +242,7 @@ mod tests {
         // LSB-scale deviations may survive.
         let golden = als_circuits::ripple_carry_adder(3);
         let mut config = AlsConfig::with_threshold(0.40);
-        config.patterns = crate::PatternPolicy::Fixed(4096);
+        config.patterns = 4096;
         config.magnitude = Some(MagnitudeConstraint { max_abs: 1 });
         let out = approximate(&golden, Strategy::Multi, &config).unwrap();
         let p = PatternSet::exhaustive(6).unwrap();

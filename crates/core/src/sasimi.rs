@@ -43,8 +43,7 @@ pub(crate) fn select(run: &mut Run) {
             let description = apply(&mut trial, &cand);
             // Resimulate and decide under one undo span (same protocol as
             // multi-selection): the dirty set is resimulated before constant
-            // propagation, liveness reconciled on the swept structure; under
-            // adaptive sampling a bad trial is rejected from a prefix.
+            // propagation, liveness reconciled on the swept structure.
             let Some(new_error_rate) =
                 run.ctx
                     .update_and_accept(&mut run.inc, &mut trial, &dirty, true, &run.config)
@@ -92,14 +91,13 @@ pub(crate) fn select(run: &mut Run) {
 /// signatures come from the caller's (incremental) view — no fresh
 /// simulation.
 ///
-/// Under [`PatternPolicy::Adaptive`](crate::PatternPolicy::Adaptive) the
-/// pairwise scan — the `O(signals² × words)` bulk of SASIMI's runtime —
-/// probes each pair at a word prefix and doubles coverage only while the
-/// pair could still substitute in some phase
+/// The pairwise scan — the `O(signals² × words)` bulk of SASIMI's runtime —
+/// probes each pair from a one-word prefix and doubles coverage only while
+/// the pair could still substitute in some phase
 /// ([`SimView::difference_probe`]). Mismatch and match counts are monotone
 /// in coverage, so a prefix-infeasible pair is exactly a full-scan-rejected
 /// pair: the surviving candidate set, its exact difference counts, and
-/// hence the whole run are byte-identical to fixed sampling.
+/// hence the whole run are byte-identical to a full-width scan.
 fn generate_candidates(
     net: &Network,
     sim: SimView<'_>,
@@ -109,9 +107,6 @@ fn generate_candidates(
     let num_patterns = ctx.patterns().num_patterns() as u64; // lint:allow(as-cast): usize fits u64 on all supported targets
     let allowed = (margin * num_patterns as f64).floor() as u64; // lint:allow(as-cast): margin >= 0 and the product <= num_patterns
     let wps = sim.words_per_signal();
-    // Fixed sampling starts at full width: the probe then returns exact
-    // counts in one round and never early-exits.
-    let start_words = ctx.adaptive_min_words().unwrap_or(wps);
 
     let targets: Vec<NodeId> = net
         .internal_ids()
@@ -151,7 +146,7 @@ fn generate_candidates(
             // only ever considered when freed > 1 — pairs without it can
             // early-exit on the mismatch bound alone.
             let max_matches = (freed > 1).then_some(allowed);
-            let probe = sim.difference_probe(t, s, allowed, max_matches, start_words);
+            let probe = sim.difference_probe(t, s, allowed, max_matches, 1);
             pairs += 1;
             words_scanned += probe.words_scanned;
             if probe.early_exit {

@@ -36,9 +36,8 @@ pub(crate) fn select(run: &mut Run) {
 
         apply_ase(&mut run.current, node, &cand.ase);
 
-        // Resimulate and decide in one step: under adaptive sampling this
-        // may reject from a pattern prefix; accepted rates are always
-        // measured at the full budget (see `AlsContext::update_and_accept`).
+        // Resimulate and decide in one step (see
+        // `AlsContext::update_and_accept`).
         let Some(new_error_rate) =
             run.ctx
                 .update_and_accept(&mut run.inc, &mut run.current, &[node], false, &run.config)
@@ -267,7 +266,7 @@ mod tests {
         use als_sim::magnitude_stats;
         let golden = als_circuits::ripple_carry_adder(3);
         let mut config = AlsConfig::with_threshold(0.40);
-        config.patterns = crate::PatternPolicy::Fixed(4096);
+        config.patterns = 4096;
         config.magnitude = Some(MagnitudeConstraint { max_abs: 1 });
         let out = approximate(&golden, Strategy::Single, &config).unwrap();
         let p = PatternSet::exhaustive(6).unwrap();

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates every circuit at a *grid* of error-rate thresholds
 //! (Table 4); this module runs such a grid — threshold × algorithm ×
-//! pattern policy — as one orchestrated job and reports the
+//! pattern count — as one orchestrated job and reports the
 //! area/delay/error **Pareto frontier** instead of a single operating
 //! point:
 //!
@@ -11,7 +11,7 @@
 //!   critical-path delay, its static signal-probability intervals (the
 //!   abstract interpreter's summary, embedded as record metadata), and one
 //!   simulated [`AlsContext`](crate::AlsContext) per distinct pattern
-//!   budget (the golden signatures are the expensive part; grid jobs get
+//!   count (the golden signatures are the expensive part; grid jobs get
 //!   clones);
 //! * grid points run as parallel jobs over a work-stealing queue with
 //!   slot-indexed results, so the frontier is byte-identical for any
@@ -28,7 +28,7 @@
 //! turning dominated by the baseline frontier is a regression.
 
 use crate::api;
-use crate::{AlsConfig, AlsError, CircuitArtifacts, DelayWeight, PatternPolicy, Strategy};
+use crate::{AlsConfig, AlsError, CircuitArtifacts, DelayWeight, Strategy};
 use als_mapper::{map_network, Library};
 use als_network::Network;
 use als_telemetry::{Event, Json, Telemetry};
@@ -42,7 +42,9 @@ use std::time::Instant;
 ///   points with `(algorithm, threshold, patterns, delay_weight)` identity
 ///   and `(literals, area, delay, error_rate)` objectives, `dominated`
 ///   tags.
-pub const SWEEP_SCHEMA_VERSION: u64 = 1;
+/// * **v2** — a point's `patterns` is its pattern count, a JSON integer
+///   (was a `fixed:N` / `adaptive:MIN..MAX` spec string).
+pub const SWEEP_SCHEMA_VERSION: u64 = 2;
 
 /// The paper's Table-4 threshold grid (also used by `als-bench`).
 pub const FULL_THRESHOLDS: [f64; 7] = [0.001, 0.003, 0.005, 0.008, 0.01, 0.03, 0.05];
@@ -50,7 +52,7 @@ pub const FULL_THRESHOLDS: [f64; 7] = [0.001, 0.003, 0.005, 0.008, 0.01, 0.03, 0
 /// The CI-speed subset of [`FULL_THRESHOLDS`].
 pub const QUICK_THRESHOLDS: [f64; 4] = [0.001, 0.005, 0.01, 0.05];
 
-/// The grid a sweep runs: every threshold × strategy × pattern policy.
+/// The grid a sweep runs: every threshold × strategy × pattern count.
 #[derive(Clone, Debug)]
 pub struct SweepGrid {
     /// Error-rate thresholds, one synthesis run per entry (× the other
@@ -58,8 +60,8 @@ pub struct SweepGrid {
     pub thresholds: Vec<f64>,
     /// Selection algorithms to run at each threshold.
     pub strategies: Vec<Strategy>,
-    /// Pattern policies to run each (threshold, strategy) pair under.
-    pub patterns: Vec<PatternPolicy>,
+    /// Pattern counts to run each (threshold, strategy) pair under.
+    pub patterns: Vec<usize>,
     /// Delay-aware scoring policy applied to every grid point.
     pub delay_weight: DelayWeight,
     /// Worker threads for grid-point dispatch (`0` = available
@@ -71,17 +73,14 @@ pub struct SweepGrid {
 }
 
 impl SweepGrid {
-    /// The CI grid: [`QUICK_THRESHOLDS`] × all three algorithms × one
-    /// adaptive pattern policy.
+    /// The CI grid: [`QUICK_THRESHOLDS`] × all three algorithms at 2,048
+    /// patterns.
     #[must_use]
     pub fn quick() -> Self {
         SweepGrid {
             thresholds: QUICK_THRESHOLDS.to_vec(),
             strategies: vec![Strategy::Single, Strategy::Multi, Strategy::Sasimi],
-            patterns: vec![PatternPolicy::Adaptive {
-                min: 256,
-                max: 2048,
-            }],
+            patterns: vec![2048],
             delay_weight: DelayWeight::Off,
             sweep_workers: 0,
             quick: true,
@@ -89,17 +88,13 @@ impl SweepGrid {
     }
 
     /// The full grid: the paper's Table-4 thresholds × all three
-    /// algorithms, at the paper's pattern budget (with adaptive
-    /// escalation, which is byte-identical to the fixed budget).
+    /// algorithms, at the paper's pattern count.
     #[must_use]
     pub fn full() -> Self {
         SweepGrid {
             thresholds: FULL_THRESHOLDS.to_vec(),
             strategies: vec![Strategy::Single, Strategy::Multi, Strategy::Sasimi],
-            patterns: vec![PatternPolicy::Adaptive {
-                min: 1024,
-                max: als_sim::DEFAULT_NUM_PATTERNS,
-            }],
+            patterns: vec![als_sim::DEFAULT_NUM_PATTERNS],
             delay_weight: DelayWeight::Off,
             sweep_workers: 0,
             quick: false,
@@ -121,8 +116,8 @@ pub struct SweepPoint {
     pub algorithm: String,
     /// The error-rate threshold the point ran under.
     pub threshold: f64,
-    /// Pattern-policy spec (`fixed:N` or `adaptive:MIN..MAX`).
-    pub patterns: String,
+    /// Pattern count every error rate of the point was measured on.
+    pub patterns: u64,
     /// Delay-weight spec (`off` or `scaled:W`).
     pub delay_weight: String,
     /// Final literal count of the approximated network.
@@ -155,11 +150,11 @@ impl SweepPoint {
 
     /// The grid-identity key baselines are matched on.
     #[must_use]
-    pub fn key(&self) -> (String, String, String, String) {
+    pub fn key(&self) -> (String, String, u64, String) {
         (
             self.algorithm.clone(),
             format!("{:.6}", self.threshold),
-            self.patterns.clone(),
+            self.patterns,
             self.delay_weight.clone(),
         )
     }
@@ -247,7 +242,7 @@ impl SweepRecord {
                 let mut obj = Json::object();
                 obj.set("algorithm", p.algorithm.as_str())
                     .set("threshold", p.threshold)
-                    .set("patterns", p.patterns.as_str())
+                    .set("patterns", p.patterns)
                     .set("delay_weight", p.delay_weight.as_str())
                     .set("literals", p.literals)
                     .set("literal_ratio", p.literal_ratio)
@@ -316,7 +311,7 @@ impl SweepRecord {
             .map(|p| SweepPoint {
                 algorithm: str_of(p, "algorithm"),
                 threshold: f64_of(p, "threshold"),
-                patterns: str_of(p, "patterns"),
+                patterns: u64_of(p, "patterns"),
                 delay_weight: str_of(p, "delay_weight"),
                 literals: u64_of(p, "literals"),
                 literal_ratio: f64_of(p, "literal_ratio"),
@@ -431,7 +426,7 @@ pub fn detect_git_sha() -> String {
 struct GridPoint {
     threshold: f64,
     strategy: Strategy,
-    patterns: PatternPolicy,
+    patterns: usize,
 }
 
 /// Runs the whole grid against `golden` and returns the tagged record.
@@ -456,7 +451,7 @@ pub fn run_sweep(
     let arts = CircuitArtifacts::build(golden.clone())?;
     if grid.num_points() == 0 {
         return Err(AlsError::InvalidConfig(
-            "sweep grid is empty (needs ≥ 1 threshold, strategy and pattern policy)".into(),
+            "sweep grid is empty (needs ≥ 1 threshold, strategy and pattern count)".into(),
         ));
     }
 
@@ -507,7 +502,7 @@ pub fn run_sweep(
         SweepPoint {
             algorithm: strategy_name(point.strategy).to_string(),
             threshold: point.threshold,
-            patterns: point.patterns.to_string(),
+            patterns: point.patterns as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
             delay_weight: delay_weight_spec(grid.delay_weight),
             literals,
             literal_ratio: outcome.literal_ratio(),
@@ -606,7 +601,7 @@ mod tests {
         SweepPoint {
             algorithm: "single-selection".into(),
             threshold: 0.05,
-            patterns: "fixed:512".into(),
+            patterns: 512,
             delay_weight: "off".into(),
             literals: lits,
             literal_ratio: 1.0,
@@ -688,7 +683,7 @@ mod tests {
         };
         let future = record
             .render()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
+            .replace("\"schema_version\": 2", "\"schema_version\": 99");
         assert!(SweepRecord::parse(&future).unwrap_err().contains("schema"));
         let wrong_kind = record
             .render()
@@ -733,7 +728,7 @@ mod tests {
         let grid = SweepGrid {
             thresholds: vec![0.01, 0.05],
             strategies: vec![Strategy::Single, Strategy::Multi],
-            patterns: vec![PatternPolicy::Fixed(256)],
+            patterns: vec![256],
             delay_weight: DelayWeight::Off,
             sweep_workers: 1,
             quick: true,

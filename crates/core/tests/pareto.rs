@@ -9,7 +9,7 @@ fn point(lits: u64, delay: f64, er: f64) -> SweepPoint {
     SweepPoint {
         algorithm: "single-selection".into(),
         threshold: 0.05,
-        patterns: "fixed:512".into(),
+        patterns: 512,
         delay_weight: "off".into(),
         literals: lits,
         literal_ratio: 1.0,

@@ -4,15 +4,14 @@
 
 use als_circuits::adders::ripple_carry_adder;
 use als_core::{
-    approximate, AlsConfig, AlsContext, CandidateEngine, MetricsCollector, PatternPolicy, Strategy,
-    Telemetry,
+    approximate, AlsConfig, AlsContext, CandidateEngine, MetricsCollector, Strategy, Telemetry,
 };
 use std::sync::Arc;
 
 fn config_with(collector: &Arc<MetricsCollector>) -> AlsConfig {
     AlsConfig::builder()
         .threshold(0.05)
-        .patterns(PatternPolicy::Fixed(512))
+        .patterns(512)
         .telemetry(collector.clone())
         .build()
         .expect("test config is valid")
@@ -70,7 +69,7 @@ fn every_algorithm_populates_outcome_metrics() {
     let net = ripple_carry_adder(4);
     let config = AlsConfig::builder()
         .threshold(0.05)
-        .patterns(PatternPolicy::Fixed(512))
+        .patterns(512)
         .build()
         .unwrap();
     for (strategy, name) in [
@@ -106,7 +105,7 @@ fn multi_selection_reports_knapsack_work() {
     let net = ripple_carry_adder(4);
     let config = AlsConfig::builder()
         .threshold(0.05)
-        .patterns(PatternPolicy::Fixed(512))
+        .patterns(512)
         .build()
         .unwrap();
     let out = approximate(&net, Strategy::Multi, &config).unwrap();

@@ -4,7 +4,7 @@
 //! [`CircuitArtifacts`]: parse (or generate) the circuit, technology-map it
 //! for the golden area/delay headline, run the abstract interpreter's
 //! signal-probability pass, and simulate the golden network once per
-//! (pattern budget, seed). `als sweep` amortizes that bundle *within* one
+//! (pattern count, seed). `als sweep` amortizes that bundle *within* one
 //! process invocation; this cache amortizes it *across* requests: entries
 //! are keyed by circuit content hash ([`CircuitSource::cache_key`]), so a
 //! repeated request for the same circuit at a new threshold skips the
@@ -21,13 +21,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Wire names of the artifacts the cache amortizes, as reported in
 /// `artifact_cache` telemetry events and result-frame `"cache"` objects.
-pub const ARTIFACT_KINDS: [&str; 4] = ["network", "signatures", "absint", "delay_map"];
+pub const ARTIFACT_KINDS: [&str; 3] = ["network", "signatures", "absint"];
 
 /// The FIFO-evicting cross-job cache, keyed by circuit content hash.
 ///
 /// Counters tally *artifact-level* lookups: a circuit-entry hit serves
-/// three artifacts at once (network, absint summary, delay map) and counts
-/// as three hits; each golden-signature context lookup counts separately.
+/// two artifacts at once (network, absint summary) and counts as two hits;
+/// each golden-signature context lookup counts separately.
 /// These are the numbers the daemon's `stats` frame reports and the
 /// per-job `MetricsReport.artifact_cache_{hits,misses}` counters break
 /// down per job.
@@ -46,9 +46,9 @@ struct CacheInner {
     order: VecDeque<u64>,
 }
 
-/// Artifacts a circuit-entry lookup serves at once (network + absint +
-/// delay map); golden-signature contexts are counted separately.
-pub const CIRCUIT_LEVEL_ARTIFACTS: u64 = 3;
+/// Artifacts a circuit-entry lookup serves at once (network + absint);
+/// golden-signature contexts are counted separately.
+pub const CIRCUIT_LEVEL_ARTIFACTS: u64 = 2;
 
 impl ArtifactCache {
     /// A cache holding at most `capacity` circuits (at least one).

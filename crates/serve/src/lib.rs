@@ -18,7 +18,7 @@
 //!   `als_core::CircuitArtifacts` keyed by a content hash of the circuit
 //!   source. A hit skips parse + mapping + absint; golden
 //!   simulation signatures are cached one level deeper, per
-//!   `(pattern budget, seed)`, so a repeat request at a *new threshold*
+//!   `(pattern count, seed)`, so a repeat request at a *new threshold*
 //!   skips every phase but the selection loop itself — and still returns
 //!   results byte-identical to a cold one-shot `als_core::approximate`
 //!   call, because the cached stimulus is exactly what that call would

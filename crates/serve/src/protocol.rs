@@ -1,7 +1,7 @@
 //! The line-delimited JSONL wire protocol of `als serve`.
 //!
 //! Every frame — request, response, progress — is one JSON object on one
-//! line, carrying `"v": 1` (see [`PROTOCOL_VERSION`]). Requests carry a
+//! line, carrying `"v": 2` (see [`PROTOCOL_VERSION`]). Requests carry a
 //! `"type"` of `"synthesize"`, `"cancel"`, `"stats"`, `"ping"` or
 //! `"shutdown"`; responses answer with `"accepted"`, `"progress"`,
 //! `"result"`, `"error"`, `"cancel_ok"`, `"stats"`, `"pong"` or `"bye"`.
@@ -14,10 +14,10 @@
 //! A synthesize request:
 //!
 //! ```json
-//! {"v":1,"type":"synthesize","id":"job-1",
+//! {"v":2,"type":"synthesize","id":"job-1",
 //!  "circuit":{"bench":"RCA32"},
 //!  "threshold":0.05,"algorithm":"single",
-//!  "seed":1,"patterns":"fixed:1024","max_iterations":50,"progress":true}
+//!  "seed":1,"patterns":1024,"max_iterations":50,"progress":true}
 //! ```
 //!
 //! The `circuit` object names either a registry benchmark (`"bench"`) or
@@ -25,13 +25,16 @@
 //! cross-job artifact cache by content hash (see
 //! [`CircuitSource::cache_key`]).
 
-use als_core::{PatternPolicy, Strategy};
+use als_core::Strategy;
 use als_telemetry::Json;
 
 /// Version of the wire protocol; bump on breaking frame changes.
 /// v1: initial protocol — synthesize/cancel/stats/ping/shutdown requests,
 /// accepted/progress/result/error/cancel_ok/stats/pong/bye responses.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// v2: a synthesize request's `"patterns"` is a pattern count (a JSON
+/// integer, was a `fixed:N` / `adaptive:MIN..MAX` spec string); result
+/// frames drop `metrics.mapped_delay` and the `cache.delay_map` flag.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Typed error categories carried by `"error"` frames; stable names on the
 /// wire (see [`ErrorCode::name`]).
@@ -205,8 +208,8 @@ pub struct SynthesizeRequest {
     pub strategy: Strategy,
     /// Stimulus seed (daemon default when absent).
     pub seed: Option<u64>,
-    /// Pattern policy (`fixed:N`, `adaptive:MIN..MAX`, or a bare count).
-    pub patterns: Option<PatternPolicy>,
+    /// Random simulation vectors (daemon default when absent).
+    pub patterns: Option<usize>,
     /// Per-job iteration cap (clamped by the daemon's budget).
     pub max_iterations: Option<usize>,
     /// Stream per-iteration progress frames while the job runs.
@@ -357,16 +360,13 @@ fn parse_synthesize(json: &Json, id: Option<String>) -> Result<SynthesizeRequest
                 .ok_or_else(|| fail("\"seed\" must be an unsigned integer".to_string()))?,
         ),
     };
-    let patterns = match json.get("patterns").map(|v| (v, v.as_str())) {
+    let patterns = match json.get("patterns") {
         None => None,
-        Some((_, Some(spec))) => Some(
-            spec.parse::<PatternPolicy>()
-                .map_err(|e| fail(format!("bad \"patterns\" spec: {e}")))?,
-        ),
-        Some((_, None)) => {
-            return Err(fail(
-                "\"patterns\" must be a spec string (fixed:N, adaptive:MIN..MAX, or N)".to_string(),
-            ))
+        Some(v) => {
+            let n = v
+                .as_u64()
+                .ok_or_else(|| fail("\"patterns\" must be an unsigned integer".to_string()))?;
+            Some(usize::try_from(n).map_err(|e| fail(format!("\"patterns\": {e}")))?)
         }
     };
     let max_iterations = match json.get("max_iterations") {
@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn parses_a_full_synthesize_request() {
-        let line = r#"{"v":1,"type":"synthesize","id":"j1","circuit":{"bench":"RCA32"},"threshold":0.05,"algorithm":"single","seed":9,"patterns":"adaptive:64..1024","max_iterations":12,"progress":true}"#;
+        let line = r#"{"v":2,"type":"synthesize","id":"j1","circuit":{"bench":"RCA32"},"threshold":0.05,"algorithm":"single","seed":9,"patterns":1024,"max_iterations":12,"progress":true}"#;
         let req = match parse_request(line).unwrap() {
             Request::Synthesize(req) => req,
             other => panic!("wrong request: {other:?}"),
@@ -418,17 +418,14 @@ mod tests {
         assert!((req.threshold - 0.05).abs() < 1e-12);
         assert_eq!(req.strategy, Strategy::Single);
         assert_eq!(req.seed, Some(9));
-        assert_eq!(
-            req.patterns,
-            Some(PatternPolicy::Adaptive { min: 64, max: 1024 })
-        );
+        assert_eq!(req.patterns, Some(1024));
         assert_eq!(req.max_iterations, Some(12));
         assert!(req.progress);
     }
 
     #[test]
     fn defaults_are_applied() {
-        let line = r#"{"v":1,"type":"synthesize","id":"j","circuit":{"blif":".model m\n.end\n"},"threshold":0.1}"#;
+        let line = r#"{"v":2,"type":"synthesize","id":"j","circuit":{"blif":".model m\n.end\n"},"threshold":0.1}"#;
         let req = match parse_request(line).unwrap() {
             Request::Synthesize(req) => req,
             other => panic!("wrong request: {other:?}"),
@@ -442,19 +439,19 @@ mod tests {
     #[test]
     fn control_requests_parse() {
         assert_eq!(
-            parse_request(r#"{"v":1,"type":"ping"}"#).unwrap(),
+            parse_request(r#"{"v":2,"type":"ping"}"#).unwrap(),
             Request::Ping
         );
         assert_eq!(
-            parse_request(r#"{"v":1,"type":"stats"}"#).unwrap(),
+            parse_request(r#"{"v":2,"type":"stats"}"#).unwrap(),
             Request::Stats
         );
         assert_eq!(
-            parse_request(r#"{"v":1,"type":"shutdown"}"#).unwrap(),
+            parse_request(r#"{"v":2,"type":"shutdown"}"#).unwrap(),
             Request::Shutdown
         );
         assert_eq!(
-            parse_request(r#"{"v":1,"type":"cancel","id":"j7"}"#).unwrap(),
+            parse_request(r#"{"v":2,"type":"cancel","id":"j7"}"#).unwrap(),
             Request::Cancel {
                 id: "j7".to_string()
             }
@@ -479,17 +476,18 @@ mod tests {
     #[test]
     fn malformed_synthesize_fields_are_bad_request() {
         for line in [
-            r#"{"v":1,"type":"synthesize","id":"j","threshold":0.1}"#,
-            r#"{"v":1,"type":"synthesize","id":"j","circuit":{},"threshold":0.1}"#,
-            r#"{"v":1,"type":"synthesize","id":"j","circuit":{"bench":"a","blif":"b"},"threshold":0.1}"#,
-            r#"{"v":1,"type":"synthesize","id":"j","circuit":{"bench":"a"}}"#,
-            r#"{"v":1,"type":"synthesize","id":"j","circuit":{"bench":"a"},"threshold":0.1,"algorithm":"magic"}"#,
-            r#"{"v":1,"type":"synthesize","id":"j","circuit":{"bench":"a"},"threshold":0.1,"patterns":7}"#,
-            r#"{"v":1,"type":"synthesize","id":"j","circuit":{"bench":"a"},"threshold":0.1,"seed":-1}"#,
-            r#"{"v":1,"type":"synthesize","circuit":{"bench":"a"},"threshold":0.1}"#,
-            r#"{"v":1,"type":"cancel"}"#,
-            r#"{"v":1,"type":"warp"}"#,
-            r#"{"v":1}"#,
+            r#"{"v":2,"type":"synthesize","id":"j","threshold":0.1}"#,
+            r#"{"v":2,"type":"synthesize","id":"j","circuit":{},"threshold":0.1}"#,
+            r#"{"v":2,"type":"synthesize","id":"j","circuit":{"bench":"a","blif":"b"},"threshold":0.1}"#,
+            r#"{"v":2,"type":"synthesize","id":"j","circuit":{"bench":"a"}}"#,
+            r#"{"v":2,"type":"synthesize","id":"j","circuit":{"bench":"a"},"threshold":0.1,"algorithm":"magic"}"#,
+            r#"{"v":2,"type":"synthesize","id":"j","circuit":{"bench":"a"},"threshold":0.1,"patterns":"fixed:256"}"#,
+            r#"{"v":2,"type":"synthesize","id":"j","circuit":{"bench":"a"},"threshold":0.1,"patterns":-7}"#,
+            r#"{"v":2,"type":"synthesize","id":"j","circuit":{"bench":"a"},"threshold":0.1,"seed":-1}"#,
+            r#"{"v":2,"type":"synthesize","circuit":{"bench":"a"},"threshold":0.1}"#,
+            r#"{"v":2,"type":"cancel"}"#,
+            r#"{"v":2,"type":"warp"}"#,
+            r#"{"v":2}"#,
         ] {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "line: {line}");

@@ -49,7 +49,7 @@ pub struct ServeConfig {
     /// Maximum request-line length in bytes; longer frames are rejected
     /// with `oversized_frame` and the connection is closed.
     pub max_frame_bytes: usize,
-    /// Per-job pattern-budget cap: requests whose policy budget exceeds
+    /// Per-job pattern-count cap: requests whose pattern count exceeds
     /// this are rejected at admission with `bad_config`.
     pub max_patterns: usize,
     /// Per-job iteration cap; requested `max_iterations` are clamped to it
@@ -424,7 +424,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> Result<Json, ProtocolError> {
         .map_err(|e| ProtocolError::new(ErrorCode::BadConfig, e.to_string()))?;
     config.telemetry = job_telemetry.clone();
 
-    // Phase 2: golden signatures, cached per (pattern budget, seed).
+    // Phase 2: golden signatures, cached per (pattern count, seed).
     let context_mark = job_telemetry.start();
     let (ctx, signatures_hit) = arts.context(&config);
     let context_nanos = if signatures_hit {
@@ -439,7 +439,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> Result<Json, ProtocolError> {
     for (artifact, hit) in [
         ("network", circuit_hit),
         ("absint", circuit_hit),
-        ("delay_map", circuit_hit),
         ("signatures", signatures_hit),
     ] {
         shared
@@ -466,8 +465,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> Result<Json, ProtocolError> {
     }
 
     // The outcome's metrics come from the run's internal collector; the
-    // artifact-cache counters are daemon-level facts, populated externally
-    // (the `mapped_delay` precedent).
+    // artifact-cache counters are daemon-level facts, populated externally.
     let mut metrics = outcome.metrics.clone();
     let report = collector.report();
     metrics.artifact_cache_hits = report.artifact_cache_hits;
@@ -477,7 +475,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job) -> Result<Json, ProtocolError> {
     cache_obj
         .set("network", circuit_hit)
         .set("absint", circuit_hit)
-        .set("delay_map", circuit_hit)
         .set("signatures", signatures_hit);
     let mut timings = Json::object();
     timings
@@ -647,13 +644,12 @@ fn admit(
             ),
         );
     }
-    if let Some(patterns) = &request.patterns {
-        if patterns.budget() > shared.limits.max_patterns {
+    if let Some(patterns) = request.patterns {
+        if patterns > shared.limits.max_patterns {
             return reject(
                 ErrorCode::BadConfig,
                 format!(
-                    "pattern budget {} exceeds the daemon cap {}",
-                    patterns.budget(),
+                    "pattern count {patterns} exceeds the daemon cap {}",
                     shared.limits.max_patterns
                 ),
             );

@@ -6,7 +6,7 @@
 //! JSONL client with a generous read timeout, so a protocol bug fails the
 //! test instead of hanging the suite.
 
-use als_serve::{ServeConfig, Server, ServerHandle};
+use als_serve::{ServeConfig, Server, ServerHandle, PROTOCOL_VERSION};
 use als_telemetry::{Json, Telemetry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -115,13 +115,13 @@ pub fn synth_request(
     threshold: f64,
     algorithm: &str,
     seed: u64,
-    patterns: &str,
+    patterns: u64,
     progress: bool,
 ) -> String {
     let mut circuit = Json::object();
     circuit.set(circuit_field, circuit_value);
     let mut obj = Json::object();
-    obj.set("v", 1u64)
+    obj.set("v", PROTOCOL_VERSION)
         .set("type", "synthesize")
         .set("id", id)
         .set("circuit", circuit)
@@ -133,21 +133,13 @@ pub fn synth_request(
     obj.render()
 }
 
-/// A request line for a job that occupies a worker for seconds: SASIMI on
-/// c7552, whose pair scan is quadratic in the node count and runs over
-/// 16k-pattern signatures. Its iterations stay short, and each one ends at
-/// a cancellation check and (with `progress`) a progress frame.
+/// A request line for a job that occupies a worker for over a second
+/// (about 1.3 s in a release build): SASIMI on c7552, whose pair scan is
+/// quadratic in the node count and runs over 16k-pattern signatures. Its
+/// iterations stay short, and each one ends at a cancellation check and
+/// (with `progress`) a progress frame.
 pub fn slow_job(id: &str, progress: bool) -> String {
-    synth_request(
-        id,
-        "bench",
-        "c7552",
-        0.2,
-        "sasimi",
-        1,
-        "fixed:16384",
-        progress,
-    )
+    synth_request(id, "bench", "c7552", 0.2, "sasimi", 1, 16384, progress)
 }
 
 /// Field accessors for response frames.

@@ -28,7 +28,7 @@ fn assert_pool_accepts_next_job(client: &mut Client) {
         0.05,
         "multi",
         7,
-        "fixed:64",
+        64,
         false,
     ));
     let result = client.recv_type("result");
@@ -38,7 +38,7 @@ fn assert_pool_accepts_next_job(client: &mut Client) {
 /// Polls `stats` until the queue drains (the worker picked up the job).
 fn wait_until_queue_empty(client: &mut Client) {
     for _ in 0..200 {
-        client.send(r#"{"v":1,"type":"stats"}"#);
+        client.send(r#"{"v":2,"type":"stats"}"#);
         let stats = client.recv_type("stats");
         if u64_field(&stats, "queue_depth") == 0 {
             return;
@@ -77,7 +77,7 @@ fn oversized_frame_is_a_typed_error_and_a_closed_connection() {
 
     let mut client = Client::connect(daemon.addr());
     let huge = format!(
-        "{{\"v\":1,\"type\":\"ping\",\"pad\":\"{}\"}}",
+        "{{\"v\":2,\"type\":\"ping\",\"pad\":\"{}\"}}",
         "x".repeat(4096)
     );
     client.send(&huge);
@@ -88,7 +88,7 @@ fn oversized_frame_is_a_typed_error_and_a_closed_connection() {
 
     // The daemon itself is unharmed.
     let mut client = Client::connect(daemon.addr());
-    client.send(r#"{"v":1,"type":"ping"}"#);
+    client.send(r#"{"v":2,"type":"ping"}"#);
     assert_eq!(str_field(&client.recv(), "type"), "pong");
 }
 
@@ -98,13 +98,13 @@ fn truncated_frame_at_eof_is_clean_teardown() {
 
     // Write half a frame — no terminating newline — and hang up.
     let mut raw = TcpStream::connect(daemon.addr()).expect("connect");
-    raw.write_all(br#"{"v":1,"type":"synthesize","id":"trunc"#)
+    raw.write_all(br#"{"v":2,"type":"synthesize","id":"trunc"#)
         .expect("partial write");
     drop(raw);
 
     // No panic, no wedged reader: the daemon still answers.
     let mut client = Client::connect(daemon.addr());
-    client.send(r#"{"v":1,"type":"ping"}"#);
+    client.send(r#"{"v":2,"type":"ping"}"#);
     assert_eq!(str_field(&client.recv(), "type"), "pong");
 }
 
@@ -132,8 +132,8 @@ fn full_admission_queue_rejects_with_queue_full_then_recovers() {
     // Cancel both admitted jobs; each still yields a (cancelled) result
     // frame. Acknowledgements and results race on the wire, so count
     // frames by type rather than assuming an order.
-    client.send(r#"{"v":1,"type":"cancel","id":"running"}"#);
-    client.send(r#"{"v":1,"type":"cancel","id":"queued"}"#);
+    client.send(r#"{"v":2,"type":"cancel","id":"running"}"#);
+    client.send(r#"{"v":2,"type":"cancel","id":"queued"}"#);
     let (mut cancel_oks, mut results) = (0, 0);
     while cancel_oks < 2 || results < 2 {
         let frame = client.recv();
@@ -159,7 +159,7 @@ fn admission_rejects_budgets_above_the_daemon_caps() {
     let daemon = start(config);
     let mut client = Client::connect(daemon.addr());
 
-    // Pattern budget above the cap.
+    // Pattern count above the cap.
     client.send(&synth_request(
         "pat",
         "blif",
@@ -167,7 +167,7 @@ fn admission_rejects_budgets_above_the_daemon_caps() {
         0.05,
         "multi",
         7,
-        "fixed:1024",
+        1024,
         false,
     ));
     let err = client.recv_type("error");
@@ -176,7 +176,7 @@ fn admission_rejects_budgets_above_the_daemon_caps() {
 
     // Iteration budget above the cap.
     let line = format!(
-        "{{\"v\":1,\"type\":\"synthesize\",\"id\":\"iter\",\"circuit\":{{\"blif\":{}}},\"threshold\":0.05,\"max_iterations\":51}}",
+        "{{\"v\":2,\"type\":\"synthesize\",\"id\":\"iter\",\"circuit\":{{\"blif\":{}}},\"threshold\":0.05,\"max_iterations\":51}}",
         Json::from(rca8_blif().as_str()).render()
     );
     client.send(&line);
@@ -191,7 +191,7 @@ fn admission_rejects_budgets_above_the_daemon_caps() {
         42.0,
         "multi",
         7,
-        "fixed:64",
+        64,
         false,
     ));
     let err = client.recv_type("error");
@@ -205,7 +205,7 @@ fn admission_rejects_budgets_above_the_daemon_caps() {
         0.05,
         "multi",
         7,
-        "fixed:256",
+        256,
         false,
     ));
     assert_eq!(str_field(&client.recv_type("result"), "status"), "done");
@@ -219,9 +219,9 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
     for (line, code) in [
         ("$$$ not json $$$", "bad_json"),
         (r#"{"v":9,"type":"ping"}"#, "unsupported_version"),
-        (r#"{"v":1,"type":"teleport"}"#, "bad_request"),
+        (r#"{"v":2,"type":"teleport"}"#, "bad_request"),
         (
-            r#"{"v":1,"type":"synthesize","id":"x","circuit":{},"threshold":0.1}"#,
+            r#"{"v":2,"type":"synthesize","id":"x","circuit":{},"threshold":0.1}"#,
             "bad_request",
         ),
     ] {
@@ -239,7 +239,7 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
         0.05,
         "multi",
         7,
-        "fixed:64",
+        64,
         false,
     ));
     let err = client.recv_type("error");
@@ -254,7 +254,7 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
         0.05,
         "multi",
         7,
-        "fixed:64",
+        64,
         false,
     ));
     let err = client.recv_type("error");
@@ -262,11 +262,11 @@ fn malformed_lines_get_typed_errors_and_the_connection_survives() {
 
     assert_pool_accepts_next_job(&mut client);
     // The failures above were counted, not hidden.
-    client.send(r#"{"v":1,"type":"stats"}"#);
+    client.send(r#"{"v":2,"type":"stats"}"#);
     let stats = client.recv_type("stats");
     assert_eq!(u64_field(&stats, "jobs_failed"), 2);
 
     // `found:false` — cancel for a job this connection never admitted.
-    client.send(r#"{"v":1,"type":"cancel","id":"martian"}"#);
+    client.send(r#"{"v":2,"type":"cancel","id":"martian"}"#);
     assert!(!bool_field(&client.recv_type("cancel_ok"), "found"));
 }

@@ -13,7 +13,7 @@ use proptest::collection;
 use proptest::prelude::*;
 
 /// A well-formed synthesize line the mutation properties start from.
-const VALID_FRAME: &str = r#"{"v":1,"type":"synthesize","id":"j1","circuit":{"bench":"RCA32"},"threshold":0.05,"algorithm":"single","seed":9,"patterns":"fixed:256","max_iterations":12,"progress":true}"#;
+const VALID_FRAME: &str = r#"{"v":2,"type":"synthesize","id":"j1","circuit":{"bench":"RCA32"},"threshold":0.05,"algorithm":"single","seed":9,"patterns":256,"max_iterations":12,"progress":true}"#;
 
 /// Exercises the parser on one line and, on failure, checks the error
 /// frame round-trips to the same typed error.

@@ -15,7 +15,7 @@
 
 mod common;
 
-use als_core::{approximate, AlsConfig, AlsOutcome, PatternPolicy, Strategy};
+use als_core::{approximate, AlsConfig, AlsOutcome, Strategy};
 use als_network::blif;
 use als_serve::ServeConfig;
 use als_telemetry::Json;
@@ -47,7 +47,7 @@ fn direct_net(
     let config = AlsConfig::builder()
         .threshold(threshold)
         .seed(seed)
-        .patterns(PatternPolicy::Fixed(budget))
+        .patterns(budget)
         .max_iterations(10_000)
         .build()
         .expect("reference config");
@@ -85,24 +85,17 @@ fn cold_and_warm_results_are_byte_identical_to_direct_runs() {
 
     // Cold: every artifact is a miss and every phase runs.
     client.send(&synth_request(
-        "cold",
-        "blif",
-        &text,
-        0.05,
-        "multi",
-        7,
-        "fixed:256",
-        false,
+        "cold", "blif", &text, 0.05, "multi", 7, 256, false,
     ));
     let cold = client.recv_type("result");
     assert_matches_direct(&cold, &direct(&text, 0.05, Strategy::Multi, 7, 256));
     let cache = obj_field(&cold, "cache");
-    for artifact in ["network", "signatures", "absint", "delay_map"] {
+    for artifact in ["network", "signatures", "absint"] {
         assert!(!bool_field(cache, artifact), "cold job hit `{artifact}`");
     }
     let metrics = obj_field(&cold, "metrics");
     assert_eq!(u64_field(metrics, "artifact_cache_hits"), 0);
-    assert_eq!(u64_field(metrics, "artifact_cache_misses"), 4);
+    assert_eq!(u64_field(metrics, "artifact_cache_misses"), 3);
 
     // Warm: same circuit, same stimulus, NEW threshold. The parse,
     // absint, mapping and golden-signature phases are all served from the
@@ -111,19 +104,12 @@ fn cold_and_warm_results_are_byte_identical_to_direct_runs() {
     // is still byte-identical to a cold single-shot run at the new
     // threshold.
     client.send(&synth_request(
-        "warm",
-        "blif",
-        &text,
-        0.02,
-        "multi",
-        7,
-        "fixed:256",
-        false,
+        "warm", "blif", &text, 0.02, "multi", 7, 256, false,
     ));
     let warm = client.recv_type("result");
     assert_matches_direct(&warm, &direct(&text, 0.02, Strategy::Multi, 7, 256));
     let cache = obj_field(&warm, "cache");
-    for artifact in ["network", "signatures", "absint", "delay_map"] {
+    for artifact in ["network", "signatures", "absint"] {
         assert!(bool_field(cache, artifact), "warm job missed `{artifact}`");
     }
     let timings = obj_field(&warm, "timings");
@@ -138,7 +124,7 @@ fn cold_and_warm_results_are_byte_identical_to_direct_runs() {
         "synthesis is never cached"
     );
     let metrics = obj_field(&warm, "metrics");
-    assert_eq!(u64_field(metrics, "artifact_cache_hits"), 4);
+    assert_eq!(u64_field(metrics, "artifact_cache_hits"), 3);
     assert_eq!(u64_field(metrics, "artifact_cache_misses"), 0);
 }
 
@@ -160,14 +146,7 @@ fn concurrent_jobs_on_separate_connections_all_match_direct_runs() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr);
                 client.send(&synth_request(
-                    "job",
-                    "blif",
-                    &text,
-                    threshold,
-                    "single",
-                    seed,
-                    "fixed:256",
-                    false,
+                    "job", "blif", &text, threshold, "single", seed, 256, false,
                 ));
                 client.recv_type("result")
             })
@@ -187,14 +166,7 @@ fn registry_benchmarks_are_accepted_by_name() {
     let daemon = start(ServeConfig::new(""));
     let mut client = Client::connect(daemon.addr());
     client.send(&synth_request(
-        "bench",
-        "bench",
-        "RCA32",
-        0.05,
-        "multi",
-        3,
-        "fixed:128",
-        false,
+        "bench", "bench", "RCA32", 0.05, "multi", 3, 128, false,
     ));
     let result = client.recv_type("result");
     let net = (als_circuits::registry::find_benchmark("RCA32")
@@ -217,23 +189,26 @@ fn cancellation_mid_job_frees_the_worker_slot() {
     // Wait until the job is demonstrably mid-run, then cancel it.
     let first_progress = client.recv_type("progress");
     assert_eq!(str_field(&first_progress, "id"), "slow");
-    client.send(r#"{"v":1,"type":"cancel","id":"slow"}"#);
+    client.send(r#"{"v":2,"type":"cancel","id":"slow"}"#);
     // The `cancel_ok` acknowledgement and the job's final `result` frame
-    // race on the wire (reader thread vs. worker); accept either order.
+    // race on the wire (reader thread vs. worker); accept either order, and
+    // read until both have arrived.
     let mut saw_cancel_ok = false;
-    let result = loop {
+    let mut result = None;
+    while !saw_cancel_ok || result.is_none() {
         let frame = client.recv();
         match str_field(&frame, "type").to_string().as_str() {
             "cancel_ok" => {
                 assert!(bool_field(&frame, "found"), "token not found");
                 saw_cancel_ok = true;
             }
-            "result" => break frame,
+            "result" => result = Some(frame),
             "progress" => {}
             other => panic!("unexpected `{other}` frame: {}", frame.render()),
         }
-    };
+    }
     assert!(saw_cancel_ok, "cancel went unacknowledged");
+    let result = result.expect("the loop ends only once the result arrived");
     assert_eq!(str_field(&result, "status"), "cancelled");
 
     // The single worker slot is free again: the next job runs to
@@ -245,14 +220,14 @@ fn cancellation_mid_job_frees_the_worker_slot() {
         0.05,
         "multi",
         7,
-        "fixed:64",
+        64,
         false,
     ));
     let next = client.recv_type("result");
     assert_eq!(str_field(&next, "status"), "done");
 
     // Cancelling a finished job's id is answered, not an error.
-    client.send(r#"{"v":1,"type":"cancel","id":"nope"}"#);
+    client.send(r#"{"v":2,"type":"cancel","id":"nope"}"#);
     let missing = client.recv_type("cancel_ok");
     assert!(!bool_field(&missing, "found"));
 }
@@ -265,7 +240,7 @@ fn ping_stats_and_shutdown_round_trip() {
     let daemon = start(config);
     let mut client = Client::connect(daemon.addr());
 
-    client.send(r#"{"v":1,"type":"ping"}"#);
+    client.send(r#"{"v":2,"type":"ping"}"#);
     assert_eq!(str_field(&client.recv(), "type"), "pong");
 
     client.send(&synth_request(
@@ -275,25 +250,25 @@ fn ping_stats_and_shutdown_round_trip() {
         0.05,
         "multi",
         7,
-        "fixed:64",
+        64,
         false,
     ));
     client.recv_type("result");
 
-    client.send(r#"{"v":1,"type":"stats"}"#);
+    client.send(r#"{"v":2,"type":"stats"}"#);
     let stats = client.recv_type("stats");
-    assert_eq!(u64_field(&stats, "protocol"), 1);
+    assert_eq!(u64_field(&stats, "protocol"), 2);
     assert_eq!(u64_field(&stats, "workers"), 2);
     assert_eq!(u64_field(&stats, "queue_capacity"), 5);
     assert_eq!(u64_field(&stats, "jobs_admitted"), 1);
     assert_eq!(u64_field(&stats, "jobs_done"), 1);
     assert_eq!(u64_field(&stats, "jobs_failed"), 0);
     assert_eq!(u64_field(&stats, "cache_circuits"), 1);
-    assert_eq!(u64_field(&stats, "cache_misses"), 4);
+    assert_eq!(u64_field(&stats, "cache_misses"), 3);
 
     // A client-initiated shutdown is acknowledged before the daemon
     // stops; the Daemon drop below joins the server thread, which only
     // returns if the shutdown actually propagated.
-    client.send(r#"{"v":1,"type":"shutdown"}"#);
+    client.send(r#"{"v":2,"type":"shutdown"}"#);
     assert_eq!(str_field(&client.recv(), "type"), "bye");
 }

@@ -53,54 +53,13 @@ pub fn error_rate_vs_reference(
 ///
 /// Panics if the reference PO count differs from the network's.
 pub fn error_rate_from_view(reference: &[Vec<u64>], approx: &Network, sim: SimView<'_>) -> f64 {
-    let wps = sim.words_per_signal();
-    let errors = error_count_range_from_view(reference, approx, sim, 0, wps);
-    errors as f64 / sim.num_patterns() as f64 // lint:allow(as-cast): counts << 2^52, exact in f64
-}
-
-/// The number of erroneous patterns within the word sub-range `[start_word,
-/// end_word)` of the signatures: patterns in that range on which any PO of
-/// `approx` differs from the stored reference.
-///
-/// This is the partial-sum form backing the adaptive sampler: summing the
-/// counts over a partition of `[0, words_per_signal)` equals the count a
-/// single full-range call produces, and `error_count / num_patterns` over
-/// the full range is exactly [`error_rate_from_view`]'s rate (same XOR-OR
-/// accumulation, same masked popcount, same words). The tail mask applies
-/// iff the range includes the final word.
-///
-/// # Panics
-///
-/// Panics if the reference PO count differs from the network's or the range
-/// is out of bounds.
-pub fn error_count_range_from_view(
-    reference: &[Vec<u64>],
-    approx: &Network,
-    sim: SimView<'_>,
-    start_word: usize,
-    end_word: usize,
-) -> u64 {
     assert_eq!(reference.len(), approx.num_pos(), "PO count mismatch");
-    let wps = sim.words_per_signal();
-    assert!(
-        start_word <= end_word && end_word <= wps,
-        "word range out of bounds"
-    );
-    let mut any_diff = vec![0u64; end_word - start_word];
+    let mut any_diff = vec![0u64; sim.words_per_signal()];
     for (r, (_, d)) in reference.iter().zip(approx.pos()) {
-        let a = sim.node_words(*d);
-        lanes::xor_or_accumulate(
-            &mut any_diff,
-            &r[start_word..end_word],
-            &a[start_word..end_word],
-        );
+        lanes::xor_or_accumulate(&mut any_diff, r, sim.node_words(*d));
     }
-    let last_mask = if end_word == wps {
-        sim.tail_mask()
-    } else {
-        u64::MAX
-    };
-    lanes::popcount_masked(&any_diff, last_mask)
+    let errors = lanes::popcount_masked(&any_diff, sim.tail_mask());
+    errors as f64 / sim.num_patterns() as f64 // lint:allow(as-cast): counts << 2^52, exact in f64
 }
 
 /// Per-output error rates between two networks (fraction of patterns on

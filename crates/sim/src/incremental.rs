@@ -26,7 +26,7 @@
 //! `O(|dirty cone|)` words; an accepted one calls `commit`, which merely
 //! clears the log.
 
-use crate::simulator::eval_node_range;
+use crate::simulator::eval_node_flat;
 use crate::{lanes, simulate, PatternSet, SimView};
 use als_network::{Network, NodeId};
 
@@ -52,10 +52,8 @@ pub struct UpdateDelta {
     /// every live non-PI node. `resim_nodes < full_equivalent` is the
     /// incremental saving.
     pub full_equivalent: u64,
-    /// Signature words actually evaluated: `resim_nodes × range width`. A
-    /// ranged update ([`update_range`](IncrementalSim::update_range)) does
-    /// proportionally less word work per node, which this counter makes
-    /// visible where `resim_nodes` alone cannot.
+    /// Signature words actually evaluated: `resim_nodes × words per
+    /// signal`.
     pub words_simulated: u64,
 }
 
@@ -103,13 +101,6 @@ pub struct IncrementalSim {
     words: Vec<u64>,
     live: Vec<bool>,
     undo: Vec<UndoEntry>,
-    /// Slots that became live during the current undo span (since the last
-    /// commit/rollback). A ranged update must re-evaluate these even when no
-    /// fanin changed in-range: their words outside previously-computed
-    /// ranges have never been written.
-    span_new: Vec<bool>,
-    /// Indices set in `span_new`, so clearing the span is `O(|touched|)`.
-    span_touched: Vec<usize>,
     stats: ResimStats,
     full_resim: bool,
     /// Test-only fault injection: skip the Nth would-be recomputation,
@@ -137,8 +128,6 @@ impl IncrementalSim {
             words: sim.words().to_vec(),
             live: sim.live().to_vec(),
             undo: Vec::new(),
-            span_new: Vec::new(),
-            span_touched: Vec::new(),
             stats: ResimStats::default(),
             full_resim: false,
             #[cfg(test)]
@@ -167,13 +156,6 @@ impl IncrementalSim {
     #[inline]
     pub fn num_patterns(&self) -> usize {
         self.num_patterns
-    }
-
-    /// Number of words per signal (the full word range of
-    /// [`update_range`](Self::update_range)).
-    #[inline]
-    pub fn words_per_signal(&self) -> usize {
-        self.words_per_signal
     }
 
     /// Cumulative work counters since construction.
@@ -209,54 +191,11 @@ impl IncrementalSim {
     /// Panics if `net` gained primary inputs since construction (the frozen
     /// stimulus cannot drive them).
     pub fn update(&mut self, net: &Network, dirty: &[NodeId]) -> UpdateDelta {
-        self.update_range(net, dirty, 0, self.words_per_signal)
-    }
-
-    /// [`update`](Self::update) restricted to the word sub-range
-    /// `[start_word, end_word)` of every signature — the resumable form
-    /// backing adaptive pattern sampling. A caller may bring a prefix of the
-    /// arena up to date first (cheap early decisions read only those words)
-    /// and extend to further ranges later; once the ranges called since the
-    /// last commit/rollback cover `[0, words_per_signal)`, the arena is
-    /// word-identical to one produced by a single full [`update`](Self::update).
-    ///
-    /// Contract for multi-round use within one undo span: pass the same
-    /// `dirty` list every round and make **no** structural changes to `net`
-    /// between rounds — a mid-span rewrite (even a function-preserving one
-    /// like constant propagation) would leave the rewritten nodes' uncovered
-    /// word ranges stale, since they are in no round's dirty list. Structural
-    /// clean-up belongs *after* the ranges cover the full width: at that
-    /// point a constant propagation followed by an empty-dirty full
-    /// [`update`](Self::update) reconciles sweeps exactly as in the
-    /// single-round protocol. Nodes *added* before the first round (e.g. a
-    /// SASIMI trial inverter) are fine: slots that became live during the
-    /// span are tracked and completed in later ranges automatically.
-    /// [`commit`](Self::commit) or [`rollback`](Self::rollback) ends the
-    /// span.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word range is out of bounds or `net` gained primary
-    /// inputs since construction.
-    pub fn update_range(
-        &mut self,
-        net: &Network,
-        dirty: &[NodeId],
-        start_word: usize,
-        end_word: usize,
-    ) -> UpdateDelta {
         let wps = self.words_per_signal;
-        assert!(
-            start_word <= end_word && end_word <= wps,
-            "word range out of bounds"
-        );
         let arena = net.node_ids().map(NodeId::index).max().map_or(0, |m| m + 1);
         if arena > self.live.len() {
             self.live.resize(arena, false);
             self.words.resize(arena * wps, 0);
-        }
-        if self.live.len() > self.span_new.len() {
-            self.span_new.resize(self.live.len(), false);
         }
 
         // Liveness reconciliation: slots of nodes swept since the last
@@ -287,10 +226,10 @@ impl IncrementalSim {
             }
         }
 
-        let range_words = (end_word - start_word) as u64; // lint:allow(as-cast): usize fits u64 on all supported targets
+        let words_per_node = wps as u64; // lint:allow(as-cast): usize fits u64 on all supported targets
         let mut changed = vec![false; self.live.len()];
         let mut in_tfo = vec![false; self.live.len()];
-        let mut fresh = vec![0u64; end_word - start_word];
+        let mut fresh = vec![0u64; wps];
         for id in net.topo_order() {
             let i = id.index();
             let node = net.node(id);
@@ -307,8 +246,7 @@ impl IncrementalSim {
             let structurally_in_tfo =
                 dirty_flag[i] || node.fanins().iter().any(|f| in_tfo[f.index()]);
             in_tfo[i] = structurally_in_tfo;
-            let recompute =
-                self.full_resim || newly_live || self.span_new[i] || dirty_flag[i] || fanin_changed;
+            let recompute = self.full_resim || newly_live || dirty_flag[i] || fanin_changed;
             if !recompute {
                 if structurally_in_tfo {
                     delta.skipped_early_exit += 1;
@@ -323,17 +261,9 @@ impl IncrementalSim {
                     continue;
                 }
             }
-            eval_node_range(
-                net,
-                id,
-                &self.words,
-                wps,
-                self.tail_mask,
-                start_word..end_word,
-                &mut fresh,
-            );
+            eval_node_flat(net, id, &self.words, wps, self.tail_mask, &mut fresh);
             delta.resim_nodes += 1;
-            delta.words_simulated += range_words;
+            delta.words_simulated += words_per_node;
             let base = i * wps;
             if newly_live {
                 self.undo.push(UndoEntry {
@@ -341,20 +271,16 @@ impl IncrementalSim {
                     was_live: false,
                     old_words: self.words[base..base + wps].to_vec(),
                 });
-                self.words[base + start_word..base + end_word].copy_from_slice(&fresh);
+                self.words[base..base + wps].copy_from_slice(&fresh);
                 self.live[i] = true;
                 changed[i] = true;
-                if !self.span_new[i] {
-                    self.span_new[i] = true;
-                    self.span_touched.push(i);
-                }
-            } else if lanes::words_differ(&self.words[base + start_word..base + end_word], &fresh) {
+            } else if lanes::words_differ(&self.words[base..base + wps], &fresh) {
                 self.undo.push(UndoEntry {
                     index: i,
                     was_live: true,
                     old_words: self.words[base..base + wps].to_vec(),
                 });
-                self.words[base + start_word..base + end_word].copy_from_slice(&fresh);
+                self.words[base..base + wps].copy_from_slice(&fresh);
                 changed[i] = true;
             }
             // Recomputed-but-identical: downstream fanouts early-exit.
@@ -373,22 +299,12 @@ impl IncrementalSim {
             self.words[base..base + wps].copy_from_slice(&e.old_words);
             self.live[e.index] = e.was_live;
         }
-        self.clear_span();
     }
 
     /// Accepts every update since the last commit: the undo log is cleared,
     /// making the current arena the new rollback point.
     pub fn commit(&mut self) {
         self.undo.clear();
-        self.clear_span();
-    }
-
-    /// Ends the current undo span's became-live tracking (the undo log and
-    /// the span always open and close together).
-    fn clear_span(&mut self) {
-        for i in self.span_touched.drain(..) {
-            self.span_new[i] = false;
-        }
     }
 
     /// Arms the test-only fault injection: the `nth` recomputation (1-based,

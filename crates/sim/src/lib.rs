@@ -46,8 +46,7 @@ mod simulator;
 mod view;
 
 pub use error_rate::{
-    error_count_range_from_view, error_rate, error_rate_from_view, error_rate_vs_reference,
-    per_output_error_rates, po_words,
+    error_rate, error_rate_from_view, error_rate_vs_reference, per_output_error_rates, po_words,
 };
 pub use incremental::{IncrementalSim, ResimStats, UpdateDelta};
 pub use local::{

@@ -136,45 +136,20 @@ pub(crate) fn eval_node_flat(
     tail_mask: u64,
     out: &mut [u64],
 ) {
-    eval_node_range(net, id, words, wps, tail_mask, 0..wps, out);
-}
-
-/// Evaluates node `id`'s cover over the word sub-range `[start, end)` of
-/// every fanin signature, writing `end - start` result words into `out`.
-///
-/// This is the resumable form of [`eval_node_flat`] used by the adaptive
-/// sampler: a prefix of each signature can be computed first and the
-/// remaining words filled in later, producing exactly the words a full-range
-/// evaluation would (each output word depends only on the same-index fanin
-/// words). The tail mask is applied iff the range covers the final word
-/// (`end == wps`), preserving the canonical-tail invariant.
-pub(crate) fn eval_node_range(
-    net: &Network,
-    id: NodeId,
-    words: &[u64],
-    wps: usize,
-    tail_mask: u64,
-    range: std::ops::Range<usize>,
-    out: &mut [u64],
-) {
-    let (start, end) = (range.start, range.end);
-    debug_assert!(start <= end && end <= wps);
-    debug_assert_eq!(out.len(), end - start);
+    debug_assert_eq!(out.len(), wps);
     out.fill(0);
     let node = net.node(id);
-    let mut term = vec![u64::MAX; end - start];
+    let mut term = vec![u64::MAX; wps];
     for cube in node.cover().cubes() {
         term.fill(u64::MAX);
         for (var, phase) in cube.literals() {
             let base = node.fanins()[var].index() * wps;
-            lanes::and_phase(&mut term, &words[base + start..base + end], phase);
+            lanes::and_phase(&mut term, &words[base..base + wps], phase);
         }
         lanes::or_accumulate(out, &term);
     }
-    if end == wps {
-        if let Some(last) = out.last_mut() {
-            *last &= tail_mask;
-        }
+    if let Some(last) = out.last_mut() {
+        *last &= tail_mask;
     }
 }
 

@@ -97,11 +97,11 @@ impl<'a> SimView<'a> {
             .sum()
     }
 
-    /// [`difference_count`](SimView::difference_count) with adaptive
-    /// prefix probing: the scan starts at a `start_words`-word prefix and
-    /// doubles its coverage only while the pair could still be *similar
-    /// enough* — it stops early once the prefix alone proves both phases
-    /// infeasible.
+    /// [`difference_count`](SimView::difference_count) with prefix
+    /// probing: the scan starts at a `start_words`-word prefix and doubles
+    /// its coverage only while the pair could still be *similar enough* —
+    /// it stops early once the prefix alone proves both phases infeasible.
+    /// `start_words = words_per_signal` scans at full width in one round.
     ///
     /// Both mismatch and match counts are monotone in coverage, so over a
     /// prefix of `c` patterns with `e` mismatches:

@@ -15,9 +15,12 @@
 //! `src/incremental.rs` (the sabotage hook is `#[cfg(test)]`, invisible
 //! here): a kernel that skips one TFO node fails the identical comparison.
 
+mod common;
+
 use als_logic::{Cover, Cube, Expr};
 use als_network::{Network, NodeId};
 use als_sim::{simulate, IncrementalSim, PatternSet};
+use common::random_network;
 use proptest::{seed_from_name, TestRng};
 
 /// The differential check: every live node of `net` must have identical
@@ -32,52 +35,6 @@ fn assert_view_matches(net: &Network, patterns: &PatternSet, inc: &IncrementalSi
             "{what}: node {id} diverged from fresh simulation"
         );
     }
-}
-
-fn random_cover(rng: &mut TestRng, k: usize) -> Cover {
-    let num_cubes = 1 + rng.below(2) as usize;
-    let cubes: Vec<Cube> = (0..num_cubes)
-        .map(|_| {
-            let mut lits: Vec<(usize, bool)> = Vec::new();
-            for v in 0..k {
-                if rng.below(2) == 0 {
-                    lits.push((v, rng.below(2) == 0));
-                }
-            }
-            if lits.is_empty() {
-                lits.push((rng.below(k as u64) as usize, rng.below(2) == 0));
-            }
-            Cube::from_literals(&lits).expect("distinct vars by construction")
-        })
-        .collect();
-    Cover::from_cubes(k, cubes)
-}
-
-/// A random 2–4-PI, 3–12-node network whose exhaustive pattern count is a
-/// non-multiple of 64 (4/8/16 patterns), so the partial tail word is always
-/// in play.
-fn random_network(rng: &mut TestRng, case: u64) -> Network {
-    let num_pis = 2 + rng.below(3) as usize;
-    let num_nodes = 3 + rng.below(10) as usize;
-    let mut net = Network::new(format!("rand{case}"));
-    let mut signals: Vec<NodeId> = (0..num_pis).map(|i| net.add_pi(format!("i{i}"))).collect();
-    for n in 0..num_nodes {
-        let k = 1 + rng.below(3.min(signals.len() as u64)) as usize;
-        let mut fanins: Vec<NodeId> = Vec::new();
-        while fanins.len() < k {
-            let s = signals[rng.below(signals.len() as u64) as usize];
-            if !fanins.contains(&s) {
-                fanins.push(s);
-            }
-        }
-        let cover = random_cover(rng, k);
-        let id = net.add_node(format!("n{n}"), fanins, cover);
-        signals.push(id);
-    }
-    let last = *signals.last().expect("nodes were added");
-    net.add_po("f0", last);
-    net.add_po("f1", signals[signals.len() - 2]);
-    net
 }
 
 /// Applies one random single-node rewrite and returns the dirty node, or
@@ -182,156 +139,11 @@ fn incremental_matches_fresh_simulation_over_random_rewrite_chains() {
     );
 }
 
-/// Ranged updates: bringing the arena up to date over doubling word ranges
-/// (`[0,1) [1,2) [2,4) …`) must land on exactly the same words as one full
-/// `update`, including across the two-phase constant-propagation protocol
-/// and across mid-span rollbacks. This is the adaptive-sampling access
-/// pattern, divorced from the sampler's decision logic.
-#[test]
-fn ranged_updates_cover_to_the_same_arena_as_full_updates() {
-    let mut rng = TestRng::new(seed_from_name(
-        "ranged_updates_cover_to_the_same_arena_as_full_updates",
-    ));
-    let mut ranged_rounds = 0u64;
-    for case in 0..32 {
-        let mut net = random_network(&mut rng, case);
-        // ~200 patterns → 4 words per signal, with a partial tail word, so
-        // the doubling schedule has real multi-round work.
-        let vectors: Vec<u64> = (0..200).map(|_| rng.below(u64::MAX)).collect();
-        let patterns = PatternSet::from_vectors(net.num_pis(), &vectors);
-        let wps = 4;
-        let mut inc = IncrementalSim::new(&net, &patterns);
-        assert_eq!(inc.words_per_signal(), wps);
-        for _step in 0..4 {
-            let snapshot = net.clone();
-            let mut dirty = Vec::new();
-            match apply_random_rewrite(&mut rng, &mut net) {
-                Some(d) => dirty.push(d),
-                None => break,
-            }
-            // Doubling schedule over [0, wps); the two-phase constant
-            // propagation (mirroring the multi/sasimi engines) runs after
-            // full coverage, as the ranged contract requires, on half the
-            // steps.
-            let mut start = 0usize;
-            let mut end = 1usize;
-            let mut words_done = 0u64;
-            while start < wps {
-                let delta = inc.update_range(&net, &dirty, start, end);
-                words_done += delta.words_simulated;
-                start = end;
-                end = (end * 2).min(wps);
-                ranged_rounds += 1;
-            }
-            if rng.below(2) == 0 {
-                net.propagate_constants();
-                inc.update(&net, &[]);
-            }
-            assert!(words_done > 0, "case {case}: ranged rounds did no work");
-            assert_view_matches(&net, &patterns, &inc, "after ranged coverage");
-            if rng.below(3) == 0 {
-                inc.rollback();
-                net = snapshot;
-                assert_view_matches(&net, &patterns, &inc, "after ranged rollback");
-            } else {
-                inc.commit();
-            }
-        }
-    }
-    assert!(
-        ranged_rounds > 32,
-        "vacuous: ranged schedule never multi-round"
-    );
-}
-
-/// A mid-span rollback after covering only a *prefix* of the word range
-/// must still restore the pre-span arena exactly (the undo log spans
-/// partial-coverage rounds too).
-#[test]
-fn rollback_after_partial_range_coverage_restores_everything() {
-    let mut rng = TestRng::new(seed_from_name(
-        "rollback_after_partial_range_coverage_restores_everything",
-    ));
-    for case in 0..16 {
-        let mut net = random_network(&mut rng, case);
-        let vectors: Vec<u64> = (0..200).map(|_| rng.below(u64::MAX)).collect();
-        let patterns = PatternSet::from_vectors(net.num_pis(), &vectors);
-        let mut inc = IncrementalSim::new(&net, &patterns);
-        let snapshot = net.clone();
-        let Some(d) = apply_random_rewrite(&mut rng, &mut net) else {
-            continue;
-        };
-        // Cover only the first word, then abandon the trial.
-        inc.update_range(&net, &[d], 0, 1);
-        inc.rollback();
-        net = snapshot;
-        assert_view_matches(&net, &patterns, &inc, "after partial-coverage rollback");
-        // The engine must remain fully usable for a subsequent normal trial.
-        if let Some(d2) = apply_random_rewrite(&mut rng, &mut net) {
-            inc.update(&net, &[d2]);
-            assert_view_matches(&net, &patterns, &inc, "after follow-up full update");
-            inc.commit();
-        }
-    }
-}
-
-/// SASIMI-style substitution (a freshly added inverter replacing a node)
-/// driven through ranged rounds: the new slot is completed range by range
-/// via the span tracking, and rollback resurrects the swept node.
-#[test]
-fn substitution_through_ranged_rounds_matches_fresh() {
-    let mut rng = TestRng::new(seed_from_name(
-        "substitution_through_ranged_rounds_matches_fresh",
-    ));
-    let mut exercised = 0u64;
-    for case in 0..16 {
-        let mut net = random_network(&mut rng, case);
-        let vectors: Vec<u64> = (0..200).map(|_| rng.below(u64::MAX)).collect();
-        let patterns = PatternSet::from_vectors(net.num_pis(), &vectors);
-        let wps = 4;
-        let mut inc = IncrementalSim::new(&net, &patterns);
-        let fanouts = net.fanouts();
-        let internals: Vec<NodeId> = net.internal_ids().collect();
-        let Some(&target) = internals.iter().find(|id| !fanouts[id.index()].is_empty()) else {
-            continue;
-        };
-        let tfo = net.tfo_mask(target);
-        let Some(source) = net.node_ids().find(|s| *s != target && !tfo[s.index()]) else {
-            continue;
-        };
-        let snapshot = net.clone();
-        let users = fanouts[target.index()].clone();
-        let inv = net.add_node(
-            "trial_inv",
-            vec![source],
-            Cover::from_cubes(
-                1,
-                [Cube::from_literals(&[(0, false)]).expect("one literal")],
-            ),
-        );
-        net.substitute(target, inv);
-        let mut start = 0usize;
-        let mut end = 1usize;
-        while start < wps {
-            inc.update_range(&net, &users, start, end);
-            start = end;
-            end = (end * 2).min(wps);
-        }
-        net.propagate_constants();
-        inc.update(&net, &[]);
-        assert_view_matches(&net, &patterns, &inc, "after ranged substitution");
-        inc.rollback();
-        net = snapshot;
-        assert_view_matches(&net, &patterns, &inc, "after ranged substitution rollback");
-        exercised += 1;
-    }
-    assert!(exercised > 0, "vacuous: no ranged substitution trial ran");
-}
-
-/// SASIMI-style trial: substitute a node by a freshly added inverter. This
-/// exercises arena growth (new slot), newly-live resimulation, dead-slot
-/// reconciliation (the substituted node is swept) and rollback across all
-/// three at once.
+/// SASIMI-style trial: substitute a node by a freshly added inverter, then
+/// run SASIMI's two-phase protocol (constant propagation, then an
+/// empty-dirty update). This exercises arena growth (new slot), newly-live
+/// resimulation, dead-slot reconciliation (the substituted node is swept)
+/// and rollback across all of them at once.
 #[test]
 fn substitution_with_a_new_inverter_matches_fresh() {
     let mut rng = TestRng::new(seed_from_name(
@@ -366,6 +178,9 @@ fn substitution_with_a_new_inverter_matches_fresh() {
         net.substitute(target, inv);
         inc.update(&net, &users);
         assert_view_matches(&net, &patterns, &inc, "after substitution");
+        net.propagate_constants();
+        inc.update(&net, &[]);
+        assert_view_matches(&net, &patterns, &inc, "after propagate_constants");
         inc.rollback();
         net = snapshot;
         assert_view_matches(&net, &patterns, &inc, "after substitution rollback");

@@ -4,11 +4,9 @@
 //! happen on the hot path, and an event is only *constructed* when at least
 //! one sink is attached (see [`Telemetry::emit`](crate::Telemetry::emit)).
 //! Granularity is deliberately coarse: one event per engine refresh,
-//! simulation, measurement, knapsack solve, committed iteration or
-//! statically pruned candidate — never per pattern — so enabling telemetry
-//! cannot perturb the synthesis loop it observes. (Pruned-candidate events
-//! are the one per-candidate exception: each one records a simulation that
-//! did *not* happen, so they are sparse by construction.)
+//! simulation, measurement, knapsack solve, SASIMI pair scan or committed
+//! iteration — never per candidate or per pattern — so enabling telemetry
+//! cannot perturb the synthesis loop it observes.
 
 use crate::json::Json;
 
@@ -104,35 +102,17 @@ pub enum Event {
         /// Nodes a full resimulation would have evaluated (every live
         /// non-PI node) — `resim_nodes < full_equivalent` is the saving.
         full_equivalent: u64,
-        /// Signature words actually written (`resim_nodes × word-range
-        /// length`): under adaptive sampling a probe round covers only a
-        /// prefix of each signature, so this is the honest work measure.
+        /// Signature words actually written (`resim_nodes × words per
+        /// signal`).
         words: u64,
         /// Wall time of the update.
         nanos: u64,
     },
-    /// Adaptive pattern sampling finished one probe round: the sample-sound
-    /// interval around the measured rate still straddled (or cleared) the
-    /// accept/reject boundary, so the trial either escalated to a wider
-    /// prefix or stopped early.
-    SamplingEscalated {
-        /// Pattern words already covered before this round.
-        from_words: u64,
-        /// Pattern words covered after this round.
-        to_words: u64,
-        /// Erroneous patterns counted over the covered prefix.
-        errors: u64,
-        /// `true` when the prefix alone already proves rejection (the
-        /// interval's lower bound exceeds the threshold) — the trial stops
-        /// here without simulating the remaining words.
-        early_reject: bool,
-    },
     /// One pairwise similarity sweep of SASIMI candidate generation
     /// completed, aggregated over all ordered signal pairs (per-pair events
-    /// would flood the log). Under adaptive sampling each pair's signature
-    /// scan starts at a word prefix and doubles only while the pair could
-    /// still substitute in some phase; `early_rejects` counts pairs proven
-    /// infeasible from a prefix.
+    /// would flood the log). Each pair's signature scan starts at a one-word
+    /// prefix and doubles only while the pair could still substitute in some
+    /// phase; `early_rejects` counts pairs proven infeasible from a prefix.
     SimilarityScanned {
         /// Ordered signal pairs scanned.
         pairs: u64,
@@ -235,7 +215,7 @@ pub enum Event {
     },
     /// A design-space sweep started: the grid is about to dispatch.
     SweepStart {
-        /// Grid points (threshold × algorithm × pattern-policy products).
+        /// Grid points (threshold × algorithm × pattern-count products).
         grid_points: u64,
         /// Resolved sweep worker count (grid-point parallelism, distinct
         /// from the per-run engine threads).
@@ -267,8 +247,8 @@ pub enum Event {
         queue_depth: u64,
     },
     /// The `als serve` cross-job artifact cache was consulted for one
-    /// artifact kind (`"network"`, `"signatures"`, `"absint"`,
-    /// `"delay_map"`). A hit means the job skipped rebuilding that artifact.
+    /// artifact kind (`"network"`, `"signatures"`, `"absint"`). A hit means
+    /// the job skipped rebuilding that artifact.
     ArtifactCache {
         /// Which artifact was looked up.
         artifact: &'static str,
@@ -296,7 +276,6 @@ impl Event {
             Event::PhaseEnd { .. } => "phase_end",
             Event::Simulated { .. } => "simulated",
             Event::Resimulated { .. } => "resimulated",
-            Event::SamplingEscalated { .. } => "sampling_escalated",
             Event::SimilarityScanned { .. } => "similarity_scanned",
             Event::Measured { .. } => "measured",
             Event::EngineRefresh { .. } => "engine_refresh",
@@ -360,17 +339,6 @@ impl Event {
                     .set("full_equivalent", full_equivalent)
                     .set("words", words)
                     .set("nanos", nanos);
-            }
-            Event::SamplingEscalated {
-                from_words,
-                to_words,
-                errors,
-                early_reject,
-            } => {
-                obj.set("from_words", from_words)
-                    .set("to_words", to_words)
-                    .set("errors", errors)
-                    .set("early_reject", early_reject);
             }
             Event::SimilarityScanned {
                 pairs,
@@ -530,12 +498,6 @@ mod tests {
                 full_equivalent: 10,
                 words: 12,
                 nanos: 4,
-            },
-            Event::SamplingEscalated {
-                from_words: 4,
-                to_words: 8,
-                errors: 2,
-                early_reject: false,
             },
             Event::SimilarityScanned {
                 pairs: 90,

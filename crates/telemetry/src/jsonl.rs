@@ -3,8 +3,8 @@
 //! One JSON object per line, written as events arrive:
 //!
 //! ```text
-//! {"event":"run_start","algorithm":"single-selection","nodes":345,"num_patterns":10048,"seq":0,"threads":1,"threshold":0.05,"v":8}
-//! {"event":"engine_refresh","cache_hits":0,"candidates_pruned":0,"evaluated":345,"nanos":41873021,"nodes_skipped":0,"seq":1,"v":8}
+//! {"event":"run_start","algorithm":"single-selection","nodes":345,"num_patterns":10048,"seq":0,"threads":1,"threshold":0.05,"v":9}
+//! {"event":"engine_refresh","cache_hits":0,"candidates_pruned":0,"evaluated":345,"nanos":41873021,"nodes_skipped":0,"seq":1,"v":9}
 //! ...
 //! ```
 //!
@@ -41,7 +41,10 @@ use std::sync::Mutex;
 /// `artifact_cache` line (artifact, hit).
 /// v8: per-candidate `candidate_pruned` lines are gone; each
 /// `engine_refresh` line carries the refresh's `candidates_pruned` count.
-pub const EVENT_LOG_SCHEMA_VERSION: u64 = 8;
+/// v9: `sampling_escalated` lines are gone (every trial is measured on the
+/// full pattern set), and `artifact_cache` lines no longer name a
+/// `delay_map` artifact.
+pub const EVENT_LOG_SCHEMA_VERSION: u64 = 9;
 
 /// A [`TelemetrySink`] that streams every event as one JSON line to a
 /// writer. Lines are written (and the writer flushed) synchronously per

@@ -39,8 +39,8 @@ impl PhaseNanos {
         Duration::from_nanos(*copy.slot(phase))
     }
 
-    /// `(phase name, seconds)` pairs in reporting order — the shape the
-    /// bench JSON records embed.
+    /// `(phase name, seconds)` pairs in reporting order — the `phase_s`
+    /// object of [`MetricsReport::to_json`].
     pub fn as_seconds(&self) -> [(&'static str, f64); 5] {
         PhaseKind::ALL.map(|p| (p.name(), self.get(p).as_secs_f64()))
     }
@@ -76,18 +76,15 @@ pub struct MetricsReport {
     pub simulations: u64,
     /// Total patterns driven across those simulations.
     pub patterns_simulated: u64,
-    /// Signature words written across all simulation work — full
+    /// Signature words written or read across all simulation work — full
     /// simulations contribute `nodes × ⌈patterns/64⌉`, incremental updates
-    /// their exact `words` counter. Under adaptive sampling this is the
-    /// honest work measure: early-rejected trials write fewer words than
-    /// `patterns_simulated` alone suggests.
+    /// their exact `words` counter, and SASIMI pair scans the words they
+    /// read (fewer than full width when a pair is decided from a prefix).
     pub patterns_simulated_words: u64,
-    /// Adaptive-sampling decisions made from a prefix of the pattern
-    /// budget: trials rejected by a probe round
-    /// (`SamplingEscalated { early_reject: true }`) plus SASIMI candidate
-    /// pairs proven infeasible from a prefix scan
-    /// (`SimilarityScanned::early_rejects`) — zero under
-    /// `PatternPolicy::Fixed`.
+    /// SASIMI candidate pairs proven infeasible from a prefix of their
+    /// signatures (`SimilarityScanned::early_rejects`). Zero for the
+    /// paper's two algorithms, whose trials are always measured on every
+    /// pattern.
     pub adaptive_early_decisions: u64,
     /// Error-rate measurements against the golden reference.
     pub measurements: u64,
@@ -130,17 +127,10 @@ pub struct MetricsReport {
     /// Clauses reclaimed by clause-group retraction. Reads 0: every
     /// don't-care window has a solver of its own, so nothing is retracted.
     pub clauses_retracted: u64,
-    /// Mapped critical-path delay of the final network, in the cell
-    /// library's delay units. Telemetry has no mapper dependency, so this is
-    /// populated *externally* (by the bench runner and the sweep
-    /// orchestrator after technology mapping), not from the event stream;
-    /// `0.0` means "not mapped".
-    pub mapped_delay: f64,
     /// `als serve` cross-job artifact-cache lookups served from the cache
-    /// (one per [`Event::ArtifactCache`] with `hit: true`). Like
-    /// `mapped_delay`, the serve daemon may also set this externally when a
-    /// job's collector was attached after admission. Zero outside the
-    /// daemon.
+    /// (one per [`Event::ArtifactCache`] with `hit: true`). The serve daemon
+    /// may also set this externally when a job's collector was attached
+    /// after admission. Zero outside the daemon.
     pub artifact_cache_hits: u64,
     /// `als serve` cross-job artifact-cache lookups that had to rebuild the
     /// artifact (`hit: false`). Zero outside the daemon.
@@ -214,11 +204,6 @@ impl MetricsReport {
                 self.resim_full_equivalent += full_equivalent;
                 self.patterns_simulated_words += words;
                 self.phase_nanos.simulate += nanos;
-            }
-            Event::SamplingEscalated { early_reject, .. } => {
-                if early_reject {
-                    self.adaptive_early_decisions += 1;
-                }
             }
             Event::SimilarityScanned {
                 early_rejects,
@@ -337,7 +322,6 @@ impl MetricsReport {
             .set("sat_queries", self.sat_queries)
             .set("solver_instances", self.solver_instances)
             .set("clauses_retracted", self.clauses_retracted)
-            .set("mapped_delay", self.mapped_delay)
             .set("artifact_cache_hits", self.artifact_cache_hits)
             .set("artifact_cache_misses", self.artifact_cache_misses)
             .set("iterations", self.iterations.len())
@@ -415,18 +399,6 @@ mod tests {
                 words: 3,
                 nanos: 60,
             },
-            Event::SamplingEscalated {
-                from_words: 0,
-                to_words: 1,
-                errors: 9,
-                early_reject: true,
-            },
-            Event::SamplingEscalated {
-                from_words: 1,
-                to_words: 2,
-                errors: 0,
-                early_reject: false,
-            },
             Event::SimilarityScanned {
                 pairs: 40,
                 early_rejects: 30,
@@ -476,7 +448,7 @@ mod tests {
                 hit: false,
             },
             Event::ArtifactCache {
-                artifact: "delay_map",
+                artifact: "absint",
                 hit: true,
             },
             Event::JobAdmitted {
@@ -505,7 +477,7 @@ mod tests {
         assert_eq!(r.simulations, 1);
         assert_eq!(r.patterns_simulated, 64);
         assert_eq!(r.patterns_simulated_words, 8 + 3 + 70);
-        assert_eq!(r.adaptive_early_decisions, 1 + 30);
+        assert_eq!(r.adaptive_early_decisions, 30);
         assert_eq!(r.measurements, 1);
         assert_eq!(r.refreshes, 2);
         assert_eq!(r.evaluations, 13);
@@ -555,11 +527,11 @@ mod tests {
             words: 15,
             nanos: 11,
         });
-        report.absorb(&Event::SamplingEscalated {
-            from_words: 0,
-            to_words: 4,
-            errors: 6,
-            early_reject: true,
+        report.absorb(&Event::SimilarityScanned {
+            pairs: 8,
+            early_rejects: 6,
+            words: 5,
+            words_full: 16,
         });
         report.absorb(&Event::SatActivity {
             sat_queries: 16,
@@ -577,11 +549,11 @@ mod tests {
         assert_eq!(json.get("resim_updates").and_then(Json::as_u64), Some(1));
         assert_eq!(
             json.get("patterns_simulated_words").and_then(Json::as_u64),
-            Some(15)
+            Some(15 + 5)
         );
         assert_eq!(
             json.get("adaptive_early_decisions").and_then(Json::as_u64),
-            Some(1)
+            Some(6)
         );
         assert_eq!(json.get("resim_nodes").and_then(Json::as_u64), Some(5));
         assert_eq!(

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example adder_tradeoff`
 
 use als::circuits::{carry_lookahead_adder, kogge_stone_adder, ripple_carry_adder};
-use als::core::{approximate, AlsConfig, AlsError, PatternPolicy, Strategy};
+use als::core::{approximate, AlsConfig, AlsError, Strategy};
 use als::mapper::{map_network, Library};
 
 fn main() -> Result<(), AlsError> {
@@ -31,7 +31,7 @@ fn main() -> Result<(), AlsError> {
         print!("{name:<7} {base:>10.0}");
         for &t in &thresholds {
             let mut config = AlsConfig::with_threshold(t);
-            config.patterns = PatternPolicy::Fixed(4096);
+            config.patterns = 4096;
             let outcome = approximate(golden, Strategy::Multi, &config)?;
             let area = map_network(&outcome.network, &lib).area();
             print!("{:>11.1}%", (1.0 - area / base) * 100.0);

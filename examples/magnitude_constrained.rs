@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example magnitude_constrained`
 
 use als::circuits::ripple_carry_adder;
-use als::core::{approximate, AlsConfig, AlsError, MagnitudeConstraint, PatternPolicy, Strategy};
+use als::core::{approximate, AlsConfig, AlsError, MagnitudeConstraint, Strategy};
 use als::sim::{magnitude_stats, PatternSet};
 
 fn main() -> Result<(), AlsError> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), AlsError> {
     );
     for bound in [None, Some(16), Some(4), Some(1)] {
         let mut config = AlsConfig::with_threshold(0.25);
-        config.patterns = PatternPolicy::Fixed(4096);
+        config.patterns = 4096;
         config.magnitude = bound.map(|max_abs| MagnitudeConstraint { max_abs });
         let outcome = approximate(&golden, Strategy::Multi, &config)?;
         let stats = magnitude_stats(&golden, &outcome.network, &patterns);

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example multiplier_quality`
 
 use als::circuits::array_multiplier;
-use als::core::{approximate, AlsConfig, AlsError, PatternPolicy, Strategy};
+use als::core::{approximate, AlsConfig, AlsError, Strategy};
 use als::network::Network;
 
 /// Multiplies through a network: drives the first 16 PIs with `a` and `b`,
@@ -37,7 +37,7 @@ fn main() -> Result<(), AlsError> {
     );
     for threshold in [0.001, 0.01, 0.05, 0.10] {
         let mut config = AlsConfig::with_threshold(threshold);
-        config.patterns = PatternPolicy::Fixed(4096);
+        config.patterns = 4096;
         let outcome = approximate(&golden, Strategy::Single, &config)?;
 
         // Exhaustive application-level evaluation: all 65 536 products.

@@ -5,12 +5,12 @@
 //! als gen         <benchmark> [-o out.blif]       emit a generated benchmark
 //! als approximate <in.blif> --threshold 0.05
 //!                 [--algorithm single|multi|sasimi] [-o out.blif]
-//!                 [--seed N] [--patterns fixed:N|adaptive:MIN..MAX]
+//!                 [--seed N] [--patterns N]
 //!                 [--resim incremental|full] [--threads N] [--no-cache]
 //!                 [--no-dontcares] [--verbose] [--metrics]
 //!                 [--events <log.jsonl>]
 //! als sweep       <benchmark|in.blif> [--quick] [--thresholds a,b,..]
-//!                 [--algorithms single,multi,sasimi] [--patterns spec,..]
+//!                 [--algorithms single,multi,sasimi] [--patterns N,..]
 //!                 [--delay-weight W] [--sweep-workers N] [--seed N]
 //!                 [-o out.json | --out-dir DIR]   Pareto design-space sweep
 //! als verify      <golden.blif> <approx.blif> [--patterns N] [--seed N]
@@ -166,9 +166,8 @@ USAGE:
   als gen         <benchmark> [-o out.blif]
   als approximate <in.blif> --threshold T [--algorithm single|multi|sasimi]
                   [-o out.blif] [--seed N] [--threads N]
-                  [--patterns fixed:N|adaptive:MIN..MAX|N]
-                              sampling policy: fixed budget, or adaptive
-                              escalation from MIN toward the MAX budget
+                  [--patterns N]          random simulation vectors
+                                          (default 10048)
                   [--resim incremental|full]
                   [--no-cache] [--no-dontcares] [--verbose]
                   [--metrics]             print engine counters and timings
@@ -177,7 +176,7 @@ USAGE:
                   [--quick]                    Pareto frontier over
                   [--thresholds a,b,..]        (literals, delay, error rate)
                   [--algorithms single,multi,sasimi]
-                  [--patterns spec[,spec..]] [--seed N]
+                  [--patterns N[,N..]] [--seed N]
                   [--delay-weight W]           delay-aware scoring (0 = off)
                   [--sweep-workers N]          grid-point parallelism (0 = all
                                                cores; results identical)
@@ -309,11 +308,11 @@ fn cmd_approximate(pos: &[&str], args: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(patterns) = flag_value(args, "--patterns") {
-        builder = builder.patterns(patterns.parse().map_err(|e| {
-            usage(format!(
-                "bad --patterns: {e} (fixed:N, adaptive:MIN..MAX, or N)"
-            ))
-        })?);
+        builder = builder.patterns(
+            patterns
+                .parse()
+                .map_err(|e| usage(format!("bad --patterns: {e} (a pattern count)")))?,
+        );
     }
     if let Some(mode) = flag_value(args, "--resim") {
         builder = builder.resim(match mode {
@@ -362,7 +361,7 @@ fn cmd_approximate(pos: &[&str], args: &[String]) -> Result<(), CliError> {
             m.simulations, m.patterns_simulated
         );
         eprintln!(
-            "  sim words:    {:>8}  (signature words written)",
+            "  sim words:    {:>8}  (signature words simulated or scanned)",
             m.patterns_simulated_words
         );
         eprintln!("  measurements: {:>8}", m.measurements);
@@ -374,7 +373,7 @@ fn cmd_approximate(pos: &[&str], args: &[String]) -> Result<(), CliError> {
         }
         if m.adaptive_early_decisions > 0 {
             eprintln!(
-                "  adaptive:     {:>8}  early decisions from a pattern prefix",
+                "  pair probe:   {:>8}  SASIMI pairs rejected from a signature prefix",
                 m.adaptive_early_decisions
             );
         }
@@ -413,10 +412,10 @@ fn cmd_approximate(pos: &[&str], args: &[String]) -> Result<(), CliError> {
     write_or_print(&outcome.network, args)
 }
 
-/// `als sweep`: run a threshold × algorithm × pattern-policy grid against
+/// `als sweep`: run a threshold × algorithm × pattern-count grid against
 /// one circuit and emit the schema-versioned Pareto-frontier record
 /// (`SWEEP_<circuit>.json`). Shared artifacts (golden mapping, absint
-/// intervals, golden simulation per pattern budget) are computed once;
+/// intervals, golden simulation per pattern count) are computed once;
 /// grid points run in parallel with byte-identical results for any
 /// `--sweep-workers` setting.
 fn cmd_sweep(pos: &[&str], args: &[String]) -> Result<(), CliError> {
@@ -470,9 +469,7 @@ fn cmd_sweep(pos: &[&str], args: &[String]) -> Result<(), CliError> {
             .split(',')
             .map(|p| {
                 p.trim().parse().map_err(|e| {
-                    usage(format!(
-                        "bad --patterns entry `{p}`: {e} (fixed:N, adaptive:MIN..MAX, or N)"
-                    ))
+                    usage(format!("bad --patterns entry `{p}`: {e} (a pattern count)"))
                 })
             })
             .collect::<Result<_, _>>()?;

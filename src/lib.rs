@@ -62,7 +62,7 @@ pub use als_telemetry as telemetry;
 // Convenience re-exports of the items used in almost every program.
 pub use als_core::{
     approximate, AlsConfig, AlsError, AlsOutcome, DelayWeight, MagnitudeConstraint, MetricsReport,
-    PatternPolicy, PrunePolicy, ResimMode, Strategy,
+    PrunePolicy, ResimMode, Strategy,
 };
 pub use als_network::Network;
 
@@ -74,7 +74,7 @@ pub use als_network::Network;
 ///
 /// let config = AlsConfig::builder()
 ///     .threshold(0.05)
-///     .patterns(PatternPolicy::Adaptive { min: 1024, max: 10_048 })
+///     .patterns(10_048)
 ///     .build()?;
 /// # let _ = (config, Strategy::Single);
 /// # Ok::<(), als::AlsError>(())

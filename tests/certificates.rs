@@ -15,7 +15,7 @@ use als::check::{audit_certificates, AuditConfig, CertificateLog};
 use als::circuits::adders::{kogge_stone_adder, ripple_carry_adder};
 use als::network::Network;
 use als::telemetry::{JsonlSink, Telemetry};
-use als::{approximate, AlsConfig, PatternPolicy, Strategy};
+use als::{approximate, AlsConfig, Strategy};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -51,7 +51,7 @@ fn audited_sweep(strategy: Strategy) {
             let buf = SharedBuf::default();
             let config = AlsConfig::builder()
                 .threshold(threshold)
-                .patterns(PatternPolicy::Fixed(NUM_PATTERNS))
+                .patterns(NUM_PATTERNS)
                 .max_iterations(MAX_ITERATIONS)
                 .seed(11)
                 .telemetry(Telemetry::from(Arc::new(JsonlSink::new(buf.clone()))))

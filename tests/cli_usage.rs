@@ -192,17 +192,22 @@ fn unknown_flags_exit_2_on_every_subcommand() {
         assert_eq!(out.status.code(), Some(2), "`als {}`", args.join(" "));
         assert!(stderr.contains("unknown flag `--no-such-flag`"), "{stderr}");
     }
-    // The removed pattern-count alias is an unknown flag too, not a silent
-    // run at the default budget.
-    let out = als(&[
-        "approximate",
-        &blif,
-        "--threshold",
-        "0.05",
-        "--num-patterns",
-        "256",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
+    // The removed pattern-count alias and the removed pattern specs are
+    // usage errors too, not a silent run at the default count.
+    for removed in [
+        ["--num-patterns", "256"],
+        ["--patterns", "adaptive:64..256"],
+    ] {
+        let out = als(&[
+            "approximate",
+            &blif,
+            "--threshold",
+            "0.05",
+            removed[0],
+            removed[1],
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{removed:?}");
+    }
 }
 
 #[test]
@@ -215,14 +220,14 @@ fn flags_may_come_before_the_input_paths() {
         "--threshold",
         "0.05",
         "--patterns",
-        "fixed:256",
+        "256",
     ]);
     let flags_first = als(&[
         "approximate",
         "--threshold",
         "0.05",
         "--patterns",
-        "fixed:256",
+        "256",
         &golden,
     ]);
     assert!(path_first.status.success());
@@ -318,7 +323,7 @@ fn serve_process_answers_a_cold_then_warm_job_over_tcp() {
     let mut job = |id: &str, threshold: f64| {
         writeln!(
             writer,
-            r#"{{"v":1,"type":"synthesize","id":"{id}","circuit":{{"bench":"MUL8"}},"threshold":{threshold},"algorithm":"multi","seed":7,"patterns":"fixed:256"}}"#
+            r#"{{"v":2,"type":"synthesize","id":"{id}","circuit":{{"bench":"MUL8"}},"threshold":{threshold},"algorithm":"multi","seed":7,"patterns":256}}"#
         )
         .expect("send job");
         let result = await_frame(&mut reader, "result");
@@ -333,7 +338,7 @@ fn serve_process_answers_a_cold_then_warm_job_over_tcp() {
     assert_eq!(field(&warm, &["timings", "parse_s"]).as_f64(), Some(0.0));
     assert_eq!(field(&warm, &["timings", "context_s"]).as_f64(), Some(0.0));
 
-    writeln!(writer, r#"{{"v":1,"type":"shutdown"}}"#).expect("send shutdown");
+    writeln!(writer, r#"{{"v":2,"type":"shutdown"}}"#).expect("send shutdown");
     await_frame(&mut reader, "bye");
     let deadline = Instant::now() + TIMEOUT;
     let status = loop {

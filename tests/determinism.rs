@@ -10,10 +10,13 @@ use als::circuits::adders::ripple_carry_adder;
 use als::circuits::alu::adder_comparator;
 use als::circuits::misc::priority_encoder;
 use als::network::{blif, Network};
-use als::{approximate, AlsConfig, AlsOutcome, DelayWeight, PatternPolicy, ResimMode, Strategy};
+use als::telemetry::{Event, TelemetrySink};
+use als::{approximate, AlsConfig, AlsOutcome, DelayWeight, ResimMode, Strategy};
 use als_bench::PAPER_THRESHOLDS;
 use als_dontcare::{DontCareConfig, DontCareMethod};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Everything observable about an outcome, as one comparable string.
 fn fingerprint(out: &AlsOutcome) -> String {
@@ -54,7 +57,7 @@ fn circuit(index: usize) -> Network {
 fn config(seed: u64, threads: usize, cache: bool) -> AlsConfig {
     AlsConfig::builder()
         .threshold(0.05)
-        .patterns(PatternPolicy::Fixed(512))
+        .patterns(512)
         .seed(seed)
         .threads(threads)
         .cache(cache)
@@ -107,7 +110,7 @@ fn incremental_resimulation_never_changes_the_outcome() {
     let resim_config = |threshold: f64, full: bool| {
         AlsConfig::builder()
             .threshold(threshold)
-            .patterns(PatternPolicy::Fixed(256))
+            .patterns(256)
             .seed(41)
             .resim(if full {
                 ResimMode::Full
@@ -161,7 +164,7 @@ fn auto_dont_cares_never_change_the_outcome() {
     let dc_config = |threshold: f64, method: DontCareMethod, max_enumerated_leaves: usize| {
         AlsConfig::builder()
             .threshold(threshold)
-            .patterns(PatternPolicy::Fixed(256))
+            .patterns(256)
             .seed(29)
             .dont_care(DontCareConfig {
                 method,
@@ -213,68 +216,58 @@ fn auto_dont_cares_never_change_the_outcome() {
     );
 }
 
-/// Adaptive pattern sampling is a pure *speed* knob as well: an early
-/// reject fires only when the full-budget measurement would also reject,
-/// and every other decision is made at the full budget through identical
-/// arithmetic — so `Adaptive { min, max }` must produce byte-identical
-/// outcomes to `Fixed(max)` across every circuit × Table-4 threshold × all
-/// three algorithms. Non-vacuity is asserted on the
-/// `adaptive_early_decisions` counter: somewhere in the sweep a trial must
-/// actually have been rejected from a pattern prefix, or the equivalence
-/// proves nothing.
+/// Counts the signature words SASIMI's pair scans read, and the words
+/// full-width scans of the same pairs would have read.
+#[derive(Default)]
+struct ScanWords {
+    words: AtomicU64,
+    words_full: AtomicU64,
+}
+
+impl TelemetrySink for ScanWords {
+    fn record(&self, event: &Event) {
+        if let Event::SimilarityScanned {
+            words, words_full, ..
+        } = *event
+        {
+            self.words.fetch_add(words, Ordering::Relaxed);
+            self.words_full.fetch_add(words_full, Ordering::Relaxed);
+        }
+    }
+}
+
+/// SASIMI's pair scan probes every pair from a one-word prefix and drops
+/// the pairs that prefix already proves infeasible in both phases. The
+/// probe is exact (`crates/sim/tests/difference_probe.rs` holds it to the
+/// full count); this checks that it runs under the default config: across
+/// the three circuits × Table-4 thresholds, SASIMI decides pairs from a
+/// prefix and reads fewer signature words than full-width scans would.
 #[test]
-fn adaptive_sampling_never_changes_the_outcome() {
-    let sampling_config = |threshold: f64, patterns: PatternPolicy| {
-        AlsConfig::builder()
-            .threshold(threshold)
-            .patterns(patterns)
-            .seed(23)
-            .build()
-            .expect("test config is valid")
-    };
+fn sasimi_pair_probe_stops_early_under_the_default_config() {
+    let scans = Arc::new(ScanWords::default());
     let mut early_decisions = 0u64;
-    let mut words_saved = 0u64;
     for circuit_index in 0..3 {
         let net = circuit(circuit_index);
         for &threshold in &PAPER_THRESHOLDS {
-            for strategy in [Strategy::Single, Strategy::Multi, Strategy::Sasimi] {
-                let adaptive = approximate(
-                    &net,
-                    strategy,
-                    &sampling_config(threshold, PatternPolicy::Adaptive { min: 64, max: 256 }),
-                )
-                .unwrap();
-                let fixed = approximate(
-                    &net,
-                    strategy,
-                    &sampling_config(threshold, PatternPolicy::Fixed(256)),
-                )
-                .unwrap();
-                assert_eq!(
-                    fingerprint(&adaptive),
-                    fingerprint(&fixed),
-                    "{} @ {threshold} {strategy:?}: adaptive sampling changed the outcome",
-                    net.name()
-                );
-                assert_eq!(
-                    fixed.metrics.adaptive_early_decisions, 0,
-                    "fixed sampling must never decide early"
-                );
-                early_decisions += adaptive.metrics.adaptive_early_decisions;
-                words_saved += fixed
-                    .metrics
-                    .patterns_simulated_words
-                    .saturating_sub(adaptive.metrics.patterns_simulated_words);
-            }
+            let config = AlsConfig::builder()
+                .threshold(threshold)
+                .seed(23)
+                .telemetry(scans.clone())
+                .build()
+                .expect("test config is valid");
+            let out = approximate(&net, Strategy::Sasimi, &config).unwrap();
+            early_decisions += out.metrics.adaptive_early_decisions;
         }
     }
     assert!(
         early_decisions > 0,
-        "no trial was ever rejected from a pattern prefix — the sweep is vacuous"
+        "no pair was ever decided from a prefix under the default config"
     );
+    let words = scans.words.load(Ordering::Relaxed);
+    let words_full = scans.words_full.load(Ordering::Relaxed);
     assert!(
-        words_saved > 0,
-        "adaptive sampling simulated at least as many words as fixed sampling"
+        words < words_full,
+        "pair scans read {words} signature words, no fewer than full-width scans ({words_full})"
     );
 }
 
@@ -291,7 +284,7 @@ fn delay_weight_off_is_byte_identical_to_the_default() {
     let weight_config = |threshold: f64, weight: Option<DelayWeight>| {
         let mut b = AlsConfig::builder()
             .threshold(threshold)
-            .patterns(PatternPolicy::Fixed(256))
+            .patterns(256)
             .seed(17);
         if let Some(w) = weight {
             b = b.delay_weight(w);

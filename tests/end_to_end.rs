@@ -2,14 +2,14 @@
 //! → approximate → verify → map.
 
 use als::circuits::{all_benchmarks, ripple_carry_adder, wallace_tree_multiplier};
-use als::core::{approximate, AlsConfig, PatternPolicy, Strategy};
+use als::core::{approximate, AlsConfig, Strategy};
 use als::mapper::{map_network, Library};
 use als::network::blif;
 use als::sim::{error_rate, PatternSet};
 
 fn quick_config(threshold: f64) -> AlsConfig {
     let mut config = AlsConfig::with_threshold(threshold);
-    config.patterns = PatternPolicy::Fixed(2048);
+    config.patterns = 2048;
     config
 }
 

@@ -3,8 +3,7 @@
 
 use als::core::knapsack::{solve, KnapsackItem, KnapsackState};
 use als::core::{
-    apparent_error_rate, approximate, estimated_real_error_rate, generate_ases, AlsConfig,
-    PatternPolicy, Strategy,
+    apparent_error_rate, approximate, estimated_real_error_rate, generate_ases, AlsConfig, Strategy,
 };
 use als::dontcare::{compute_dont_cares, DontCareConfig};
 use als::logic::{Cover, Cube, Expr};
@@ -213,7 +212,7 @@ fn paper_ase_example() {
 fn error_budget_consumed_monotonically() {
     let golden = als::circuits::wallace_tree_multiplier(3);
     let mut config = AlsConfig::with_threshold(0.10);
-    config.patterns = PatternPolicy::Fixed(4096);
+    config.patterns = 4096;
     let outcome = approximate(&golden, Strategy::Single, &config).unwrap();
     let mut last = 0.0;
     for it in &outcome.iterations {

@@ -18,7 +18,7 @@ use als::circuits::alu::adder_comparator;
 use als::circuits::misc::priority_encoder;
 use als::network::{blif, Network};
 use als::telemetry::{Json, JsonlSink, Telemetry};
-use als::{approximate, AlsConfig, AlsOutcome, PatternPolicy, PrunePolicy, Strategy};
+use als::{approximate, AlsConfig, AlsOutcome, PrunePolicy, Strategy};
 use als_bench::PAPER_THRESHOLDS;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -68,7 +68,7 @@ fn fingerprint(out: &AlsOutcome) -> String {
 fn config(threshold: f64, prune: bool) -> AlsConfig {
     AlsConfig::builder()
         .threshold(threshold)
-        .patterns(PatternPolicy::Fixed(256))
+        .patterns(256)
         .seed(41)
         .pruning(if prune {
             PrunePolicy::Static
@@ -144,7 +144,7 @@ fn tightest_threshold_on_a_wide_adder_skips_simulations() {
     let buf = SharedBuf::default();
     let config = AlsConfig::builder()
         .threshold(PAPER_THRESHOLDS[0])
-        .patterns(PatternPolicy::Fixed(2048))
+        .patterns(2048)
         .seed(41)
         .pruning(PrunePolicy::Static)
         .telemetry(Telemetry::from(Arc::new(JsonlSink::new(buf.clone()))))

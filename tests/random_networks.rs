@@ -2,7 +2,7 @@
 //! arbitrary small random networks, with the true error rate measured
 //! exhaustively.
 
-use als::core::{approximate, AlsConfig, PatternPolicy};
+use als::core::{approximate, AlsConfig};
 use als::logic::{Cover, Cube};
 use als::network::{Network, NodeId};
 use als::sim::{error_rate, PatternSet};
@@ -65,7 +65,7 @@ proptest! {
         prop_assume!(golden.num_internal() > 0);
         let threshold = f64::from(t_pct) / 100.0;
         let mut config = AlsConfig::with_threshold(threshold);
-        config.patterns = PatternPolicy::Fixed(4096); // ≈128 samples of each of the 32 input points
+        config.patterns = 4096; // ≈128 samples of each of the 32 input points
         let outcome = approximate(&golden, als::Strategy::Single, &config).unwrap();
         outcome.network.check().unwrap();
         prop_assert!(outcome.final_literals <= outcome.initial_literals);
@@ -82,7 +82,7 @@ proptest! {
         prop_assume!(golden.num_internal() > 0);
         let threshold = f64::from(t_pct) / 100.0;
         let mut config = AlsConfig::with_threshold(threshold);
-        config.patterns = PatternPolicy::Fixed(4096);
+        config.patterns = 4096;
         let outcome = approximate(&golden, als::Strategy::Multi, &config).unwrap();
         outcome.network.check().unwrap();
         prop_assert!(outcome.final_literals <= outcome.initial_literals);
@@ -97,7 +97,7 @@ proptest! {
         prop_assume!(golden.num_internal() > 0);
         let threshold = f64::from(t_pct) / 100.0;
         let mut config = AlsConfig::with_threshold(threshold);
-        config.patterns = PatternPolicy::Fixed(4096);
+        config.patterns = 4096;
         let outcome = approximate(&golden, als::Strategy::Sasimi, &config).unwrap();
         outcome.network.check().unwrap();
         prop_assert!(outcome.final_literals <= outcome.initial_literals);
@@ -111,7 +111,7 @@ proptest! {
         let golden = build_network(&recipe);
         prop_assume!(golden.num_internal() > 0);
         let mut config = AlsConfig::with_threshold(0.0);
-        config.patterns = PatternPolicy::Fixed(4096);
+        config.patterns = 4096;
         let patterns = PatternSet::exhaustive(NUM_PIS).unwrap();
         for outcome in [
             approximate(&golden, als::Strategy::Single, &config).unwrap(),

@@ -7,13 +7,13 @@
 use als::circuits::adders::ripple_carry_adder;
 use als::circuits::alu::adder_comparator;
 use als::core::sweep::{run_sweep, SweepGrid, SweepRecord};
-use als::{AlsConfig, DelayWeight, PatternPolicy, Strategy};
+use als::{AlsConfig, DelayWeight, Strategy};
 
 fn small_grid(workers: usize, delay_weight: DelayWeight) -> SweepGrid {
     SweepGrid {
         thresholds: vec![0.005, 0.05],
         strategies: vec![Strategy::Single, Strategy::Multi, Strategy::Sasimi],
-        patterns: vec![PatternPolicy::Adaptive { min: 64, max: 256 }],
+        patterns: vec![256],
         delay_weight,
         sweep_workers: workers,
         quick: true,

@@ -8,7 +8,7 @@ use als::circuits::alu::adder_comparator;
 use als::circuits::misc::priority_encoder;
 use als::network::{blif, Network};
 use als::telemetry::{Event, JsonlSink, MetricsCollector, Telemetry, TelemetrySink};
-use als::{approximate, AlsConfig, AlsOutcome, PatternPolicy, Strategy};
+use als::{approximate, AlsConfig, AlsOutcome, Strategy};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,7 +64,7 @@ impl TelemetrySink for CountingSink {
 fn config(seed: u64, threads: usize, telemetry: Telemetry) -> AlsConfig {
     AlsConfig::builder()
         .threshold(0.05)
-        .patterns(PatternPolicy::Fixed(512))
+        .patterns(512)
         .seed(seed)
         .threads(threads)
         .telemetry(telemetry)
