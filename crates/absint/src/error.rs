@@ -227,7 +227,7 @@ pub fn error_bounds_seeded(
         .map(|id| (golden.node(id).name().to_string(), id))
         .collect();
 
-    let arena = approx.fanouts().len();
+    let arena = approx.arena_len();
     let mut signal = vec![Interval::UNIT; arena];
     for pi in approx.pis() {
         signal[pi.index()] = Interval::ZERO;
@@ -279,7 +279,7 @@ pub fn error_bounds_seeded(
 /// is a mandatory waypoint for the error, so its interval additionally
 /// caps every output bound.
 pub fn single_change_bounds(net: &Network, node: NodeId, local_diff: Interval) -> ErrorBounds {
-    let arena = net.fanouts().len();
+    let arena = net.arena_len();
     let mut signal = vec![Interval::ZERO; arena];
     signal[node.index()] = local_diff;
     let cone = tfo_cone(net, node);

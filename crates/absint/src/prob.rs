@@ -190,7 +190,7 @@ pub fn signal_probabilities_seeded(
         net.pis().len(),
         "one seed interval per primary input"
     );
-    let arena = net.fanouts().len();
+    let arena = net.arena_len();
     let mut intervals = vec![Interval::UNIT; arena];
     let mut frechet_forced = vec![false; arena];
 

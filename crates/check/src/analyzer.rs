@@ -593,10 +593,10 @@ fn check_error_bound(net: &Network, config: &AnalyzerConfig, report: &mut Analys
 }
 
 /// SAT sweeping: bucket internal nodes by complement-normalized simulation
-/// signature, then confirm each candidate pair with an incremental miter
-/// query. One solver serves every query of the sweep: the whole network is
-/// encoded once, and the per-pair difference (or agreement) constraint
-/// lives in a retractable clause group that is swept after its query.
+/// signature, then confirm each candidate pair with incremental queries.
+/// One solver serves every query of the sweep: the whole network is encoded
+/// once, and a pair costs two assumption queries, one per way the pair can
+/// disagree with its candidate relation.
 fn check_sat_sweep(net: &Network, config: &AnalyzerConfig, report: &mut AnalysisReport) {
     const PASS: &str = "sat_sweep";
     if net.num_pis() == 0 || net.num_internal() < 2 || config.sweep_max_pairs == 0 {
@@ -636,8 +636,8 @@ fn check_sat_sweep(net: &Network, config: &AnalyzerConfig, report: &mut Analysis
         members.push((id, flip));
     }
 
-    // One persistent solver holds the whole network's CNF; the per-pair
-    // miter constraint is the only retractable part.
+    // One persistent solver holds the whole network's CNF; each pair is
+    // two assumption queries, so no pair adds a clause or a variable.
     let mut solver = Solver::new();
     let pis: Vec<Var> = net.pis().iter().map(|_| solver.new_var()).collect();
     let vars = encode_network(&mut solver, net, &pis, &mut StructTable::new());
@@ -666,18 +666,17 @@ fn check_sat_sweep(net: &Network, config: &AnalyzerConfig, report: &mut Analysis
             budget -= 1;
             let b = Lit::pos(vars[&node]);
             let complemented = flip != leader_flip;
-            // Refutation clauses: force a counterexample to the candidate
-            // relation — a ≠ b for equivalence, a = b for complement.
-            let (c1, c2) = if complemented {
-                ([a, !b], [!a, b])
+            // Each query assumes one counterexample to the candidate
+            // relation — a ≠ b for equivalence, a = b for complement; the
+            // pair is proven when neither exists.
+            let counterexamples = if complemented {
+                [[a, b], [!a, !b]]
             } else {
-                ([a, b], [!a, !b])
+                [[a, !b], [!a, b]]
             };
-            let g = solver.new_group();
-            solver.add_clause_in(g, &c1);
-            solver.add_clause_in(g, &c2);
-            let proven = solver.solve_with_assumptions(&[g.lit()]) == SatResult::Unsat;
-            solver.retract(g);
+            let proven = counterexamples
+                .iter()
+                .all(|lits| solver.solve_with_assumptions(lits) == SatResult::Unsat);
             if proven {
                 report.push(
                     Diagnostic::info(

@@ -5,7 +5,7 @@ use crate::engine::resolve_threads;
 use crate::report::{IterationRecord, SelectedChange};
 use crate::{preprocess, AlsConfig, AlsContext, AlsError, AlsOutcome};
 use als_network::Network;
-use als_sim::{IncrementalSim, PatternSet};
+use als_sim::{PatternSet, SimResult, MAX_MAGNITUDE_OUTPUTS};
 use als_telemetry::{Event, MetricsCollector, PhaseKind, Telemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,7 +69,9 @@ pub enum Strategy {
 /// # Errors
 ///
 /// * [`AlsError::InvalidConfig`] when a configuration field violates its
-///   documented constraint;
+///   documented constraint, or a [`MagnitudeConstraint`](crate::MagnitudeConstraint)
+///   is set on a network with more POs than a magnitude can weigh
+///   ([`MAX_MAGNITUDE_OUTPUTS`]);
 /// * [`AlsError::InvalidNetwork`] when `net` fails its consistency check.
 ///
 /// # Example
@@ -162,7 +164,21 @@ pub fn approximate_with_context(
 fn validate(net: &Network, config: &AlsConfig) -> Result<(), AlsError> {
     config.validate()?;
     net.check()
-        .map_err(|e| AlsError::InvalidNetwork(e.to_string()))
+        .map_err(|e| AlsError::InvalidNetwork(e.to_string()))?;
+    check_magnitude_outputs(net, config)
+}
+
+/// Rejects a magnitude constraint on a network with more POs than one
+/// magnitude value holds: measuring it would panic.
+pub(crate) fn check_magnitude_outputs(net: &Network, config: &AlsConfig) -> Result<(), AlsError> {
+    if config.magnitude.is_none() || net.num_pos() <= MAX_MAGNITUDE_OUTPUTS {
+        return Ok(());
+    }
+    Err(AlsError::InvalidConfig(format!(
+        "a magnitude constraint weighs at most {MAX_MAGNITUDE_OUTPUTS} POs but the network \
+         has {}",
+        net.num_pos()
+    )))
 }
 
 /// Rejects stimulus for another circuit: simulating `net` under it would
@@ -197,7 +213,7 @@ pub(crate) fn run(
 
 /// The run frame: everything one synthesis run does around its strategy's
 /// candidate search. A strategy loops on [`next_iteration`](Run::next_iteration),
-/// applies and measures its candidates on `current` through `inc`, and
+/// applies and measures its candidates on `current` through `sim`, and
 /// reports each accepted iteration to [`commit`](Run::commit).
 pub(crate) struct Run {
     /// The caller's config with the run's metrics collector attached.
@@ -208,10 +224,10 @@ pub(crate) struct Run {
     /// committed state; a strategy applies trial changes to it (or to a
     /// clone) and restores it when the trial is rejected.
     pub(crate) current: Network,
-    /// The persistent simulation of `current`: one full simulation at
-    /// construction, dirty-set updates afterwards (`--resim full` degrades
-    /// every update to a full pass; results are byte-identical).
-    pub(crate) inc: IncrementalSim,
+    /// The signatures of `current`: one full simulation at construction,
+    /// dirty-set updates afterwards (`--resim full` degrades every update
+    /// to a full pass; results are byte-identical).
+    pub(crate) sim: SimResult,
     /// The measured error rate of `current` against the original network.
     error_rate: f64,
     /// The number of the iteration in progress (0 before the first).
@@ -265,14 +281,14 @@ impl Run {
                 nanos: Telemetry::nanos_since(mark),
             });
         }
-        let mut inc = ctx.incremental(&current);
-        inc.set_full_resim(config.resim.is_full());
-        let error_rate = ctx.measure_view(&current, inc.view());
+        let mut sim = ctx.simulate(&current);
+        sim.set_full_resim(config.resim.is_full());
+        let error_rate = ctx.measure(&current, &sim);
         Run {
             config,
             ctx,
             current,
-            inc,
+            sim,
             error_rate,
             iteration: 0,
             iter_mark: None,
@@ -434,6 +450,52 @@ mod tests {
                 let err = approximate_with_context(net, strategy, &config, ctx).unwrap_err();
                 assert!(
                     matches!(err, AlsError::InvalidConfig(ref m) if m.contains(count)),
+                    "{strategy:?}: {err}"
+                );
+            }
+        }
+    }
+
+    /// 130 POs, each a 4-input AND over 8 PIs: wider than a magnitude can
+    /// weigh.
+    fn wide_and_net() -> Network {
+        let mut net = Network::new("wide_and");
+        let pis: Vec<_> = (0..8).map(|i| net.add_pi(format!("x{i}"))).collect();
+        let and4 = Cube::from_literals(&[(0, true), (1, true), (2, true), (3, true)]).unwrap();
+        for i in 0..130 {
+            let fanins = (0..4).map(|k| pis[(i + k) % 8]).collect();
+            let g = net.add_node(format!("g{i}"), fanins, Cover::from_cubes(4, [and4]));
+            net.add_po(format!("y{i}"), g);
+        }
+        net
+    }
+
+    #[test]
+    fn magnitude_constraint_on_too_many_outputs_is_an_error() {
+        let net = wide_and_net();
+        let config = AlsConfig::builder()
+            .threshold(0.2)
+            .patterns(256)
+            .magnitude(Some(crate::MagnitudeConstraint { max_abs: 1 }))
+            .build()
+            .unwrap();
+        for strategy in [Strategy::Single, Strategy::Multi, Strategy::Sasimi] {
+            let patterns = PatternSet::random(net.num_pis(), config.patterns, config.seed);
+            let ctx = AlsContext::new(&net, &config);
+            let grid = crate::sweep::SweepGrid {
+                thresholds: vec![0.2],
+                strategies: vec![strategy],
+                patterns: vec![256],
+                ..crate::sweep::SweepGrid::quick()
+            };
+            for err in [
+                approximate(&net, strategy, &config).unwrap_err(),
+                approximate_under(&net, strategy, &config, patterns).unwrap_err(),
+                approximate_with_context(&net, strategy, &config, ctx).unwrap_err(),
+                crate::sweep::run_sweep("wide_and", &net, &grid, &config).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, AlsError::InvalidConfig(ref m) if m.contains("has 130")),
                     "{strategy:?}: {err}"
                 );
             }

@@ -1,8 +1,7 @@
 use crate::AlsConfig;
 use als_network::{Network, NodeId};
 use als_sim::{
-    error_rate_from_view, magnitude_stats_from_view, po_words, simulate, IncrementalSim,
-    PatternSet, SimResult, SimView,
+    error_rate_from_sim, magnitude_stats_from_sim, po_words, simulate, PatternSet, SimResult,
 };
 use als_telemetry::{Event, Telemetry};
 
@@ -78,6 +77,8 @@ impl AlsContext {
     }
 
     /// Simulates `candidate` (fresh signatures for its current structure).
+    /// A run simulates once and keeps the result up to date with
+    /// [`update_and_accept`](Self::update_and_accept).
     pub fn simulate(&self, candidate: &Network) -> SimResult {
         let mark = self.telemetry.start();
         let sim = simulate(candidate, &self.patterns);
@@ -89,26 +90,11 @@ impl AlsContext {
         sim
     }
 
-    /// Builds a persistent incremental resimulation engine seeded with a
-    /// full simulation of `candidate` (counted as one `Simulated` event —
-    /// construction *is* a full simulation).
-    pub fn incremental(&self, candidate: &Network) -> IncrementalSim {
+    /// Runs one dirty-set update of `sim` against the current structure of
+    /// `candidate`, emitting a `Resimulated` event with the work counters.
+    fn update_resim(&self, sim: &mut SimResult, candidate: &Network, dirty: &[NodeId]) {
         let mark = self.telemetry.start();
-        let inc = IncrementalSim::new(candidate, &self.patterns);
-        self.telemetry.emit(|| Event::Simulated {
-            patterns: self.patterns.num_patterns() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-            nodes: candidate.num_internal() as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
-            nanos: Telemetry::nanos_since(mark),
-        });
-        inc
-    }
-
-    /// Runs one incremental dirty-set update of `inc` against the current
-    /// structure of `candidate`, emitting a `Resimulated` event with the
-    /// work counters.
-    fn update_resim(&self, inc: &mut IncrementalSim, candidate: &Network, dirty: &[NodeId]) {
-        let mark = self.telemetry.start();
-        let delta = inc.update(candidate, dirty);
+        let delta = sim.update(candidate, dirty);
         self.telemetry.emit(|| Event::Resimulated {
             dirty: delta.dirty,
             resim_nodes: delta.resim_nodes,
@@ -119,11 +105,11 @@ impl AlsContext {
         });
     }
 
-    /// Measures the error rate of `candidate` from already-up-to-date
-    /// incremental signatures.
-    pub fn measure_view(&self, candidate: &Network, sim: SimView<'_>) -> f64 {
+    /// Measures the error rate of `candidate` from its up-to-date
+    /// signatures `sim`.
+    pub fn measure(&self, candidate: &Network, sim: &SimResult) -> f64 {
         let mark = self.telemetry.start();
-        let rate = error_rate_from_view(&self.reference_po_words, candidate, sim);
+        let rate = error_rate_from_sim(&self.reference_po_words, candidate, sim);
         self.telemetry.emit(|| Event::Measured {
             error_rate: rate,
             nanos: Telemetry::nanos_since(mark),
@@ -132,20 +118,15 @@ impl AlsContext {
     }
 
     /// Whether `candidate` satisfies both the error-rate threshold and (if
-    /// configured) the magnitude constraint, measured from already-up-to-date
-    /// incremental signatures; returns the measured rate on success.
-    fn accepts_view(
-        &self,
-        candidate: &Network,
-        sim: SimView<'_>,
-        config: &AlsConfig,
-    ) -> Option<f64> {
-        let rate = self.measure_view(candidate, sim);
+    /// configured) the magnitude constraint, measured from its up-to-date
+    /// signatures `sim`; returns the measured rate on success.
+    fn accepts(&self, candidate: &Network, sim: &SimResult, config: &AlsConfig) -> Option<f64> {
+        let rate = self.measure(candidate, sim);
         if rate > config.threshold {
             return None;
         }
         if let Some(mc) = config.magnitude {
-            let stats = magnitude_stats_from_view(&self.reference_po_words, candidate, sim);
+            let stats = magnitude_stats_from_sim(&self.reference_po_words, candidate, sim);
             if stats.max_abs > mc.max_abs {
                 return None;
             }
@@ -160,22 +141,22 @@ impl AlsContext {
     /// dirty set is resimulated, followed by an empty-dirty reconciliation
     /// update: the two-phase protocol of multi-selection and SASIMI, whose
     /// constant sweeps rewrite users that were never dirty. All updates
-    /// share one undo span: callers pair this with `inc.commit()` /
-    /// `inc.rollback()`.
+    /// share one undo span: callers pair this with `sim.commit()` /
+    /// `sim.rollback()`.
     pub fn update_and_accept(
         &self,
-        inc: &mut IncrementalSim,
+        sim: &mut SimResult,
         trial: &mut Network,
         dirty: &[NodeId],
         propagate: bool,
         config: &AlsConfig,
     ) -> Option<f64> {
-        self.update_resim(inc, trial, dirty);
+        self.update_resim(sim, trial, dirty);
         if propagate {
             trial.propagate_constants();
-            self.update_resim(inc, trial, &[]);
+            self.update_resim(sim, trial, &[]);
         }
-        self.accepts_view(trial, inc.view(), config)
+        self.accepts(trial, sim, config)
     }
 }
 
@@ -195,12 +176,11 @@ mod tests {
         );
         net.add_po("y", y);
         let ctx = AlsContext::new(&net, &AlsConfig::default());
-        assert_eq!(ctx.measure_view(&net, ctx.incremental(&net).view()), 0.0);
+        assert_eq!(ctx.measure(&net, &ctx.simulate(&net)), 0.0);
         // Breaking the network is detected.
         let mut broken = net.clone();
         let d = broken.pos()[0].1;
         broken.replace_with_constant(d, true);
-        let inc = ctx.incremental(&broken);
-        assert!(ctx.measure_view(&broken, inc.view()) > 0.4); // y = a' is wrong half the time
+        assert!(ctx.measure(&broken, &ctx.simulate(&broken)) > 0.4); // y = a' is wrong half the time
     }
 }

@@ -26,7 +26,7 @@ use als_absint::{Interval, MintermBounds};
 use als_dontcare::{window_influence, DontCares, IncrementalClassifier, SolverStats};
 use als_logic::Expr;
 use als_network::{Network, NodeId};
-use als_sim::{local_pattern_probabilities_view, SimResult, SimView};
+use als_sim::{local_pattern_probabilities, SimResult};
 use als_telemetry::{Event, Telemetry};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -183,20 +183,19 @@ impl CandidateEngine {
     ///
     /// Simulates `net` freshly (and lazily — only when the pending set is
     /// non-empty). When current signatures are already at hand, use
-    /// [`refresh_from_view`](CandidateEngine::refresh_from_view) instead.
+    /// [`refresh_from_sim`](CandidateEngine::refresh_from_sim) instead.
     pub fn refresh(&mut self, net: &Network, ctx: &AlsContext) {
         self.refresh_impl(net, None, ctx);
     }
 
     /// Like [`refresh`](CandidateEngine::refresh), but evaluates against the
-    /// caller's already-simulated signatures (typically an
-    /// [`IncrementalSim`](als_sim::IncrementalSim) view) instead of
-    /// simulating freshly. The view must reflect `net` exactly.
-    pub fn refresh_from_view(&mut self, net: &Network, sim: SimView<'_>, ctx: &AlsContext) {
+    /// caller's signatures (a run's up-to-date [`SimResult`]) instead of
+    /// simulating freshly. `sim` must reflect `net` exactly.
+    pub fn refresh_from_sim(&mut self, net: &Network, sim: &SimResult, ctx: &AlsContext) {
         self.refresh_impl(net, Some(sim), ctx);
     }
 
-    fn refresh_impl(&mut self, net: &Network, sim: Option<SimView<'_>>, ctx: &AlsContext) {
+    fn refresh_impl(&mut self, net: &Network, sim: Option<&SimResult>, ctx: &AlsContext) {
         // Debug-build invariant: the engine must never price candidates on a
         // structurally broken network (compiled out of release builds, so
         // release perf and the determinism property tests are untouched).
@@ -235,15 +234,15 @@ impl CandidateEngine {
         let mut nodes_skipped = 0usize;
         if !pending.is_empty() {
             let owned: SimResult;
-            let view = if let Some(v) = sim {
-                v
+            let sim = if let Some(sim) = sim {
+                sim
             } else {
                 owned = ctx.simulate(net);
-                owned.view()
+                &owned
             };
             let (computed, sat_stats) = evaluate_all(
                 net,
-                view,
+                sim,
                 &self.config,
                 self.needs_dont_cares,
                 budget,
@@ -431,7 +430,7 @@ impl NodeOutcome {
 /// once whichever worker took it, and are the same for every thread count.
 fn evaluate_all(
     net: &Network,
-    sim: SimView<'_>,
+    sim: &SimResult,
     config: &AlsConfig,
     needs_dont_cares: bool,
     budget: f64,
@@ -491,7 +490,7 @@ fn evaluate_all(
 /// marginals + one pairwise joint determine two — computed in integer
 /// counts so the division matches the simulator's gather bit for bit),
 /// Fréchet from the marginals beyond that.
-fn static_minterm_bounds(net: &Network, sim: SimView<'_>, id: NodeId) -> MintermBounds {
+fn static_minterm_bounds(net: &Network, sim: &SimResult, id: NodeId) -> MintermBounds {
     let node = net.node(id);
     let fanins = node.fanins();
     let total = sim.num_patterns() as u64; // lint:allow(as-cast): usize fits u64 on all supported targets
@@ -514,7 +513,7 @@ fn static_minterm_bounds(net: &Network, sim: SimView<'_>, id: NodeId) -> Minterm
 }
 
 /// How many patterns set both signals to 1 (one AND-popcount sweep).
-fn joint_count_ones(sim: SimView<'_>, a: NodeId, b: NodeId) -> u64 {
+fn joint_count_ones(sim: &SimResult, a: NodeId, b: NodeId) -> u64 {
     let wa = sim.node_words(a);
     let wb = sim.node_words(b);
     let mut total = 0u64;
@@ -538,7 +537,7 @@ const EXACT_DC_NODE_LIMIT: usize = 1 << 18;
 #[allow(clippy::too_many_arguments)]
 fn evaluate_node(
     net: &Network,
-    sim: SimView<'_>,
+    sim: &SimResult,
     config: &AlsConfig,
     needs_dont_cares: bool,
     budget: f64,
@@ -584,7 +583,7 @@ fn evaluate_node(
         };
     }
 
-    let probs = local_pattern_probabilities_view(net, sim, id);
+    let probs = local_pattern_probabilities(net, sim, id);
     let dc = if !(needs_dont_cares && config.use_dont_cares) {
         DontCares::none(k)
     } else if config.exact_dont_cares {
@@ -801,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_from_view_prices_identically_to_refresh() {
+    fn refresh_from_sim_prices_identically_to_refresh() {
         let (net, mids) = two_cones();
         let config = test_config();
         let ctx = AlsContext::new(&net, &config);
@@ -809,16 +808,15 @@ mod tests {
         let mut fresh = CandidateEngine::new(&config, true);
         fresh.refresh(&net, &ctx);
 
-        let mut viewed = CandidateEngine::new(&config, true);
-        let inc = ctx.incremental(&net);
-        viewed.refresh_from_view(&net, inc.view(), &ctx);
+        let mut given = CandidateEngine::new(&config, true);
+        given.refresh_from_sim(&net, &ctx.simulate(&net), &ctx);
 
         for &id in &mids {
             let a: Vec<_> = fresh
                 .candidates(id)
                 .map(|c| (format!("{:?}", c.ase.expr), c.apparent, c.estimate))
                 .collect();
-            let b: Vec<_> = viewed
+            let b: Vec<_> = given
                 .candidates(id)
                 .map(|c| (format!("{:?}", c.ase.expr), c.apparent, c.estimate))
                 .collect();

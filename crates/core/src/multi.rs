@@ -32,7 +32,7 @@ pub(crate) fn select(run: &mut Run) {
         engine.set_prune_budget((initial_capacity as f64 + 0.5) / scale); // lint:allow(as-cast): capacity ≤ scale = 1e4, exactly representable in f64
 
         // Collect the candidate items: every eligible node with its ASEs.
-        engine.refresh_from_view(&run.current, run.inc.view(), &run.ctx);
+        engine.refresh_from_sim(&run.current, &run.sim, &run.ctx);
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut ase_store: Vec<Vec<Ase>> = Vec::new();
         let mut rate_store: Vec<Vec<f64>> = Vec::new();
@@ -115,7 +115,7 @@ pub(crate) fn select(run: &mut Run) {
             // preserving per surviving node — only needs liveness
             // reconciliation.
             let decision = run.ctx.update_and_accept(
-                &mut run.inc,
+                &mut run.sim,
                 &mut run.current,
                 &batch,
                 true,
@@ -129,7 +129,7 @@ pub(crate) fn select(run: &mut Run) {
 
             let Some(new_error_rate) = decision else {
                 run.current = snapshot;
-                run.inc.rollback();
+                run.sim.rollback();
                 // The knapsack weights do not model magnitudes, so under a
                 // magnitude constraint a rejected batch is retried with half
                 // the capacity until it fits. Otherwise an overshoot ends the
@@ -140,7 +140,7 @@ pub(crate) fn select(run: &mut Run) {
                 }
                 break 'outer;
             };
-            run.inc.commit();
+            run.sim.commit();
             // Invalidate on the pre-change snapshot, where every batch node
             // is still live: constant-propagation cascades stay inside
             // TFO(batch), whose fanout edges the snapshot already has.

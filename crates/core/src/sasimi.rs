@@ -6,7 +6,7 @@ use crate::report::SelectedChange;
 use crate::AlsContext;
 use als_logic::{Cover, Cube};
 use als_network::{Network, NodeId};
-use als_sim::SimView;
+use als_sim::SimResult;
 
 /// A candidate substitution: drive every user of `target` with `substitute`
 /// (inverted when `inverted` is set).
@@ -28,7 +28,7 @@ const TRIALS_PER_ITERATION: usize = 25;
 /// best-ranked substitutions that fits the threshold and saves literals.
 pub(crate) fn select(run: &mut Run) {
     'iterations: while run.next_iteration() {
-        let candidates = generate_candidates(&run.current, run.inc.view(), &run.ctx, run.margin());
+        let candidates = generate_candidates(&run.current, &run.sim, &run.ctx, run.margin());
         for cand in candidates.into_iter().take(TRIALS_PER_ITERATION) {
             let mut trial = run.current.clone();
             // The dirty set, captured pre-apply: a constant replacement
@@ -46,9 +46,9 @@ pub(crate) fn select(run: &mut Run) {
             // propagation, liveness reconciled on the swept structure.
             let Some(new_error_rate) =
                 run.ctx
-                    .update_and_accept(&mut run.inc, &mut trial, &dirty, true, &run.config)
+                    .update_and_accept(&mut run.sim, &mut trial, &dirty, true, &run.config)
             else {
-                run.inc.rollback();
+                run.sim.rollback();
                 continue;
             };
             let saved = run
@@ -56,10 +56,10 @@ pub(crate) fn select(run: &mut Run) {
                 .literal_count()
                 .saturating_sub(trial.literal_count());
             if saved == 0 {
-                run.inc.rollback();
+                run.sim.rollback();
                 continue;
             }
-            run.inc.commit();
+            run.sim.commit();
             // A substitution flips an output only on a vector where target
             // and substitute disagree, so the pairwise difference rate is
             // this change's apparent rate in the Theorem-1 sense.
@@ -88,19 +88,18 @@ pub(crate) fn select(run: &mut Run) {
 
 /// Ranks substitution candidates by `literals-freed / error`, considering
 /// every ordered signal pair (in both phases) and the two constants. Signal
-/// signatures come from the caller's (incremental) view — no fresh
-/// simulation.
+/// signatures come from the run's up-to-date store — no fresh simulation.
 ///
 /// The pairwise scan — the `O(signals² × words)` bulk of SASIMI's runtime —
 /// probes each pair from a one-word prefix and doubles coverage only while
 /// the pair could still substitute in some phase
-/// ([`SimView::difference_probe`]). Mismatch and match counts are monotone
+/// ([`SimResult::difference_probe`]). Mismatch and match counts are monotone
 /// in coverage, so a prefix-infeasible pair is exactly a full-scan-rejected
 /// pair: the surviving candidate set, its exact difference counts, and
 /// hence the whole run are byte-identical to a full-width scan.
 fn generate_candidates(
     net: &Network,
-    sim: SimView<'_>,
+    sim: &SimResult,
     ctx: &AlsContext,
     margin: f64,
 ) -> Vec<Candidate> {

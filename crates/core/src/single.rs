@@ -24,7 +24,7 @@ pub(crate) fn select(run: &mut Run) {
         // ones `best_candidate` would filter (when estimates equal apparent
         // rates; the engine disables pruning otherwise).
         engine.set_prune_budget(margin);
-        engine.refresh_from_view(&run.current, run.inc.view(), &run.ctx);
+        engine.refresh_from_sim(&run.current, &run.sim, &run.ctx);
         let Some((node, cand)) =
             best_candidate(&engine, margin, &run.current, delay_scorer.as_ref())
         else {
@@ -40,10 +40,10 @@ pub(crate) fn select(run: &mut Run) {
         // `AlsContext::update_and_accept`).
         let Some(new_error_rate) =
             run.ctx
-                .update_and_accept(&mut run.inc, &mut run.current, &[node], false, &run.config)
+                .update_and_accept(&mut run.sim, &mut run.current, &[node], false, &run.config)
         else {
             run.current = snapshot;
-            run.inc.rollback();
+            run.sim.rollback();
             if run.config.magnitude.is_some() {
                 // Magnitude violations are routine (the estimate does not
                 // model them): suppress this candidate and keep searching.
@@ -55,7 +55,7 @@ pub(crate) fn select(run: &mut Run) {
             // returns the network of the last iteration.
             break;
         };
-        run.inc.commit();
+        run.sim.commit();
         // Two-cone invalidation: the pre-change network covers windows that
         // contained the edges the ASE removed, the post-change one covers the
         // new structure (see `CandidateEngine::invalidate_committed`).

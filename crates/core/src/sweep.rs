@@ -467,6 +467,7 @@ pub fn run_sweep(
                 config.delay_weight = grid.delay_weight;
                 config.telemetry = Telemetry::disabled();
                 config.validate()?;
+                api::check_magnitude_outputs(golden, &config)?;
                 points.push(GridPoint {
                     threshold,
                     strategy,

@@ -1,5 +1,5 @@
 use als_network::{Network, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// A window around a pivot node: the sub-network the don't-care computation
 /// reasons about, following the `mfs` windowing scheme (`levels_in` levels of
@@ -121,54 +121,6 @@ impl Window {
     pub fn roots(&self) -> &[NodeId] {
         &self.roots
     }
-
-    /// Evaluates all window nodes under a leaf assignment (bit `i` of
-    /// `leaf_values` drives `leaves()[i]`), with the pivot optionally forced
-    /// to a value. Returns the map node → value for leaves and internals.
-    pub fn eval(
-        &self,
-        net: &Network,
-        leaf_values: u64,
-        force_pivot: Option<bool>,
-    ) -> HashMap<NodeId, bool> {
-        let mut value: HashMap<NodeId, bool> =
-            HashMap::with_capacity(self.leaves.len() + self.internals.len());
-        for (i, &l) in self.leaves.iter().enumerate() {
-            value.insert(l, leaf_values >> i & 1 == 1);
-        }
-        for &n in &self.internals {
-            let node = net.node(n);
-            let mut assignment = 0u64;
-            for (i, &f) in node.fanins().iter().enumerate() {
-                if *value.get(&f).expect("window closure") {
-                    // lint:allow(panic): internal invariant; the message states it
-                    assignment |= 1 << i;
-                }
-            }
-            let mut v = node.expr().eval(assignment);
-            if n == self.pivot {
-                if let Some(forced) = force_pivot {
-                    v = forced;
-                }
-            }
-            value.insert(n, v);
-        }
-        value
-    }
-
-    /// The local input pattern of the pivot under a node-value map produced
-    /// by [`Window::eval`].
-    pub fn pivot_pattern(&self, net: &Network, values: &HashMap<NodeId, bool>) -> usize {
-        let node = net.node(self.pivot);
-        let mut v = 0usize;
-        for (i, &f) in node.fanins().iter().enumerate() {
-            if *values.get(&f).expect("fanins evaluated") {
-                // lint:allow(panic): internal invariant; the message states it
-                v |= 1 << i;
-            }
-        }
-        v
-    }
 }
 
 /// Membership bitmap (indexed by arena position) of nodes within `radius`
@@ -269,34 +221,6 @@ mod tests {
         // fanout g3 is outside).
         assert_eq!(w.leaves(), &[ids[1], ids[2]]);
         assert_eq!(w.roots(), &[g2]);
-    }
-
-    #[test]
-    fn eval_with_forced_pivot() {
-        let (net, ids) = chain();
-        let g2 = ids[3];
-        let w = Window::build(&net, g2, 1, 1);
-        // leaves = [a, b]; set a=1, b=1: g1=1, g2=1, g3=!g2=0.
-        let vals = w.eval(&net, 0b11, None);
-        assert!(vals[&ids[2]]);
-        assert!(vals[&g2]);
-        assert!(!vals[&ids[4]]);
-        // Force pivot to 0: g3 flips.
-        let vals = w.eval(&net, 0b11, Some(false));
-        assert!(!vals[&g2]);
-        assert!(vals[&ids[4]]);
-    }
-
-    #[test]
-    fn pivot_pattern_extraction() {
-        let (net, ids) = chain();
-        let g2 = ids[3];
-        let w = Window::build(&net, g2, 1, 1);
-        let vals = w.eval(&net, 0b11, None);
-        // g2's fanins are [g1, b] = [1, 1] → pattern 0b11.
-        assert_eq!(w.pivot_pattern(&net, &vals), 0b11);
-        let vals = w.eval(&net, 0b10, None); // a=0, b=1 → g1=0
-        assert_eq!(w.pivot_pattern(&net, &vals), 0b10);
     }
 
     #[test]

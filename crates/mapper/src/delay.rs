@@ -56,7 +56,7 @@ impl DelayMap {
     /// then full forward and backward passes.
     #[must_use]
     pub fn build(net: &Network, lib: &Library) -> Self {
-        let len = net.fanouts().len();
+        let len = net.arena_len();
         let mut map = DelayMap {
             local: vec![0.0; len],
             arrival: vec![0.0; len],
@@ -80,7 +80,7 @@ impl DelayMap {
     /// early wherever a recomputed arrival is unchanged; the backward pass
     /// is then rerun in full (it is a single linear sweep).
     pub fn update_cone(&mut self, net: &Network, lib: &Library, changed: &[NodeId]) {
-        let len = net.fanouts().len();
+        let len = net.arena_len();
         if len > self.local.len() {
             self.local.resize(len, 0.0);
             self.arrival.resize(len, 0.0);

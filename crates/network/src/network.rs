@@ -174,6 +174,13 @@ impl Network {
             .ok_or(NetworkError::InvalidNode { node: id })
     }
 
+    /// The number of arena slots, dead ones included: every
+    /// `id.index()` is below it, so per-node tables indexed by arena
+    /// position have this length (the length of [`Network::fanouts`]).
+    pub fn arena_len(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Iterates over all live node ids in arena order (PIs included).
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes

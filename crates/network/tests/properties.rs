@@ -69,6 +69,8 @@ proptest! {
         net.sweep();
         net.check().unwrap();
         prop_assert_eq!(truth_vectors(&net), before);
+        // Swept slots stay in the arena as tombstones.
+        prop_assert_eq!(net.arena_len(), net.fanouts().len());
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! and scoped clause sets can be added to retractable [`Group`]s guarded by
 //! activation literals (assume [`Group::lit`] to enable a group, call
 //! [`Solver::retract`] to dispose of it). This lets one solver instance
-//! serve a long sequence of related queries — e.g. an entire don't-care
-//! window sweep — instead of re-encoding from scratch per query.
+//! serve a long sequence of related queries — e.g. every round of #SAT
+//! error counting, whose validity oracle keeps one solver and scopes each
+//! round's clauses in a group — instead of re-encoding from scratch per
+//! query.
 //!
 //! # Example
 //!

@@ -252,7 +252,8 @@ const LEARNT_LIMIT: usize = 2000;
 /// phases and variable activities persist across [`Solver::solve`] calls,
 /// clauses can be added between calls, scoped clause sets live in retractable
 /// [`Group`]s, and the learnt database is periodically reduced so a
-/// long-lived instance stays lean.
+/// long-lived instance — such as the #SAT counter's validity oracle, which
+/// serves every enlargement round of a count — stays lean.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug, Default)]

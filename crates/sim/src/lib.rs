@@ -6,9 +6,11 @@
 //! This crate provides exactly those services, 64 patterns per machine word:
 //!
 //! * [`PatternSet`] — random or exhaustive PI stimulus;
-//! * [`simulate`] / [`SimResult`] — per-node signatures over the pattern set;
+//! * [`simulate`] / [`SimResult`] — per-node signatures over the pattern set,
+//!   kept up to date across rewrites by dirty-set resimulation
+//!   ([`SimResult::update`]);
 //! * [`local_pattern_counts`] — per-node local-input-pattern statistics;
-//! * [`error_rate`] / [`error_rate_vs_reference`] — whole-network error rate
+//! * [`error_rate`] / [`error_rate_from_sim`] — whole-network error rate
 //!   (the fraction of patterns on which *any* PO differs).
 //!
 //! # Example
@@ -37,28 +39,19 @@
 #![deny(missing_debug_implementations)]
 
 mod error_rate;
-mod incremental;
 mod lanes;
 mod local;
 mod magnitude;
 mod patterns;
 mod simulator;
-mod view;
 
-pub use error_rate::{
-    error_rate, error_rate_from_view, error_rate_vs_reference, per_output_error_rates, po_words,
-};
-pub use incremental::{IncrementalSim, ResimStats, UpdateDelta};
-pub use local::{
-    local_pattern_counts, local_pattern_counts_view, local_pattern_probabilities,
-    local_pattern_probabilities_view, MAX_LOCAL_FANINS,
-};
+pub use error_rate::{error_rate, error_rate_from_sim, po_words};
+pub use local::{local_pattern_counts, local_pattern_probabilities, MAX_LOCAL_FANINS};
 pub use magnitude::{
-    magnitude_stats, magnitude_stats_from_view, magnitude_stats_vs_reference, MagnitudeStats,
+    magnitude_stats, magnitude_stats_from_sim, MagnitudeStats, MAX_MAGNITUDE_OUTPUTS,
 };
 pub use patterns::{ExhaustiveTooLarge, PatternSet};
-pub use simulator::{simulate, SimResult};
-pub use view::{DiffProbe, SimView};
+pub use simulator::{simulate, DiffProbe, SimResult, UpdateDelta};
 
 /// The paper's default number of random simulation vectors (§6): 10 000,
 /// rounded up to a whole number of 64-bit words (157 × 64 = 10 048).

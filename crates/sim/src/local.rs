@@ -1,4 +1,4 @@
-use crate::{lanes, SimResult, SimView};
+use crate::{lanes, SimResult};
 use als_network::{Network, NodeId};
 
 /// Maximum fanin count for local-pattern enumeration (`2^k` counters).
@@ -23,15 +23,6 @@ const DENSE_LOCAL_FANINS: usize = 6;
 /// Panics if the node has more than [`MAX_LOCAL_FANINS`] fanins or was not
 /// simulated.
 pub fn local_pattern_counts(net: &Network, sim: &SimResult, id: NodeId) -> Vec<u64> {
-    local_pattern_counts_view(net, sim.view(), id)
-}
-
-/// [`local_pattern_counts`] over a thread-shareable [`SimView`].
-///
-/// # Panics
-///
-/// Same conditions as [`local_pattern_counts`].
-pub fn local_pattern_counts_view(net: &Network, sim: SimView<'_>, id: NodeId) -> Vec<u64> {
     let node = net.node(id);
     let k = node.fanins().len();
     assert!(
@@ -101,17 +92,8 @@ fn gather_counts(fanin_words: &[&[u64]], wps: usize, tail: u64, counts: &mut [u6
 ///
 /// Same conditions as [`local_pattern_counts`].
 pub fn local_pattern_probabilities(net: &Network, sim: &SimResult, id: NodeId) -> Vec<f64> {
-    local_pattern_probabilities_view(net, sim.view(), id)
-}
-
-/// [`local_pattern_probabilities`] over a thread-shareable [`SimView`].
-///
-/// # Panics
-///
-/// Same conditions as [`local_pattern_counts`].
-pub fn local_pattern_probabilities_view(net: &Network, sim: SimView<'_>, id: NodeId) -> Vec<f64> {
     let n = sim.num_patterns() as f64; // lint:allow(as-cast): counts << 2^52, exact in f64
-    local_pattern_counts_view(net, sim, id)
+    local_pattern_counts(net, sim, id)
         .into_iter()
         .map(|c| c as f64 / n) // lint:allow(as-cast): counts << 2^52, exact in f64
         .collect()

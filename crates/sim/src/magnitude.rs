@@ -8,8 +8,12 @@
 //! mean absolute deviation of an approximate network from golden reference
 //! signatures.
 
-use crate::{simulate, PatternSet, SimView};
+use crate::{po_words, simulate, PatternSet, SimResult};
 use als_network::Network;
+
+/// The most primary outputs a magnitude measurement reads: the POs form one
+/// `u128` value.
+pub const MAX_MAGNITUDE_OUTPUTS: usize = 128;
 
 /// Deviation statistics of an approximate network over a pattern set.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,40 +27,23 @@ pub struct MagnitudeStats {
     pub num_erroneous: u64,
 }
 
-/// Measures deviation statistics of `approx` against golden PO signatures
-/// (produced by [`crate::po_words`] on the same pattern set). PO `i` is
-/// weighted `2^i`.
+/// Measures deviation statistics of `approx`, whose current signatures are
+/// `sim`, against golden PO signatures (produced by [`po_words`] on the
+/// same pattern set). PO `i` is weighted `2^i`.
 ///
 /// # Panics
 ///
 /// Panics if the reference PO count differs from the network's, or exceeds
-/// 128 outputs (the widest representable value).
-pub fn magnitude_stats_vs_reference(
+/// [`MAX_MAGNITUDE_OUTPUTS`].
+pub fn magnitude_stats_from_sim(
     reference: &[Vec<u64>],
     approx: &Network,
-    patterns: &PatternSet,
-) -> MagnitudeStats {
-    let sim = simulate(approx, patterns);
-    magnitude_stats_from_view(reference, approx, sim.view())
-}
-
-/// Measures deviation statistics from already-simulated signatures (a
-/// [`SimView`], typically an [`IncrementalSim`](crate::IncrementalSim)'s
-/// current state). The per-pattern loop is shared with
-/// [`magnitude_stats_vs_reference`], so both paths agree bit-for-bit.
-///
-/// # Panics
-///
-/// Same conditions as [`magnitude_stats_vs_reference`].
-pub fn magnitude_stats_from_view(
-    reference: &[Vec<u64>],
-    approx: &Network,
-    sim: SimView<'_>,
+    sim: &SimResult,
 ) -> MagnitudeStats {
     assert_eq!(reference.len(), approx.num_pos(), "PO count mismatch");
     assert!(
-        approx.num_pos() <= 128,
-        "magnitude interpretation limited to 128 outputs"
+        approx.num_pos() <= MAX_MAGNITUDE_OUTPUTS,
+        "magnitude interpretation limited to {MAX_MAGNITUDE_OUTPUTS} outputs"
     );
     let approx_words: Vec<&[u64]> = approx
         .pos()
@@ -98,16 +85,15 @@ pub fn magnitude_stats_from_view(
 ///
 /// # Panics
 ///
-/// Same conditions as [`magnitude_stats_vs_reference`], plus a PI-count
+/// Same conditions as [`magnitude_stats_from_sim`], plus a PI-count
 /// mismatch between the networks and pattern set.
 pub fn magnitude_stats(
     golden: &Network,
     approx: &Network,
     patterns: &PatternSet,
 ) -> MagnitudeStats {
-    let gs = simulate(golden, patterns);
-    let reference = crate::po_words(golden, &gs);
-    magnitude_stats_vs_reference(&reference, approx, patterns)
+    let reference = po_words(golden, &simulate(golden, patterns));
+    magnitude_stats_from_sim(&reference, approx, &simulate(approx, patterns))
 }
 
 #[cfg(test)]

@@ -1,16 +1,32 @@
 use crate::lanes;
 use crate::PatternSet;
 use als_network::{Network, NodeId};
+use incremental::UndoEntry;
 
-/// Per-node signatures produced by [`simulate`]: for every live node, the
-/// 64-bit words holding the node's value under every pattern.
+mod incremental;
+
+pub use incremental::UpdateDelta;
+
+/// The signatures of one network under one pattern set: for every live
+/// node, the 64-bit words holding the node's value under every pattern.
+///
+/// [`simulate`] is the one constructor. The store then lives as long as the
+/// synthesis run: [`update`](SimResult::update) brings it up to date after a
+/// rewrite by resimulating only the dirty cone, and
+/// [`rollback`](SimResult::rollback) / [`commit`](SimResult::commit) undo or
+/// accept those updates (`update` states the dirty-set contract). Every
+/// measurement — error rates, local pattern statistics, candidate pricing,
+/// SASIMI's pair probe — reads this one store. A shared `&SimResult` is
+/// `Send + Sync`, so scoped worker threads read the same signatures without
+/// copying them: the §3.2 "one simulation run serves every consumer" idea
+/// extended across threads.
 ///
 /// Storage is one flat arena-backed buffer (`arena_len × words_per_signal`
 /// words, node `id` at offset `id.index() * words_per_signal`) rather than a
 /// `Vec<Vec<u64>>`: signatures of topologically adjacent nodes sit next to
 /// each other in memory, which is what the incremental resimulation walk
-/// ([`IncrementalSim`](crate::IncrementalSim)) streams over. A separate
-/// liveness bitmap distinguishes dead arena slots from real signatures.
+/// streams over. A separate liveness bitmap distinguishes dead arena slots
+/// from real signatures.
 ///
 /// **Canonical-tail invariant:** the unused high bits of every stored final
 /// word are zero (masked at write time), so two signatures are equal iff
@@ -26,6 +42,17 @@ pub struct SimResult {
     /// Which arena slots hold a simulated signature (dead slots are
     /// tombstones left by rewrites).
     live: Vec<bool>,
+    /// Every slot overwrite since the last commit, newest last.
+    undo: Vec<UndoEntry>,
+    /// Whether every update re-evaluates all live nodes.
+    full_resim: bool,
+    /// Test-only fault injection: skip the Nth would-be recomputation,
+    /// leaving that TFO node silently stale. Proves the differential suite
+    /// is falsifiable.
+    #[cfg(test)]
+    sabotage_skip_nth: Option<u64>,
+    #[cfg(test)]
+    recompute_counter: u64,
 }
 
 impl SimResult {
@@ -41,11 +68,24 @@ impl SimResult {
         self.words_per_signal
     }
 
+    /// Mask selecting the valid bits of the final word.
+    #[inline]
+    pub fn tail_mask(&self) -> u64 {
+        self.tail_mask
+    }
+
+    /// The store itself. Kept for callers written against the borrowed view
+    /// type this store replaced; new code takes `&SimResult` directly.
+    #[inline]
+    pub fn view(&self) -> &SimResult {
+        self
+    }
+
     /// The signature (value words) of node `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not live at simulation time.
+    /// Panics if `id` holds no signature (dead, or never simulated).
     pub fn node_words(&self, id: NodeId) -> &[u64] {
         assert!(
             self.live.get(id.index()).copied().unwrap_or(false),
@@ -68,7 +108,10 @@ impl SimResult {
     /// How many patterns set node `id` to 1.
     pub fn count_ones(&self, id: NodeId) -> u64 {
         // Tail bits are canonically zero, so a plain popcount is exact.
-        lanes::popcount_masked(self.node_words(id), u64::MAX)
+        self.node_words(id)
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
     }
 
     /// The signal probability of node `id` (fraction of patterns at 1).
@@ -96,39 +139,103 @@ impl SimResult {
 
     /// The number of patterns on which two simulated nodes differ.
     pub fn difference_count(&self, a: NodeId, b: NodeId) -> u64 {
-        let mut diff = vec![0u64; self.words_per_signal];
-        lanes::xor_or_accumulate(&mut diff, self.node_words(a), self.node_words(b));
-        lanes::popcount_masked(&diff, u64::MAX)
+        self.node_words(a)
+            .iter()
+            .zip(self.node_words(b))
+            .map(|(x, y)| u64::from((x ^ y).count_ones()))
+            .sum()
     }
 
-    /// Mask selecting the valid bits of the final word.
-    #[inline]
-    pub fn tail_mask(&self) -> u64 {
-        self.tail_mask
-    }
-
-    /// The flat signature arena (for [`SimView`]).
+    /// [`difference_count`](Self::difference_count) with prefix probing:
+    /// the scan starts at a `start_words`-word prefix and doubles its
+    /// coverage only while the pair could still be *similar enough* — it
+    /// stops early once the prefix alone proves both phases infeasible.
+    /// `start_words = words_per_signal` scans at full width in one round.
     ///
-    /// [`SimView`]: crate::SimView
-    #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// The liveness bitmap (for [`SimView`]).
+    /// Both mismatch and match counts are monotone in coverage, so over a
+    /// prefix of `c` patterns with `e` mismatches:
     ///
-    /// [`SimView`]: crate::SimView
-    #[inline]
-    pub(crate) fn live(&self) -> &[bool] {
-        &self.live
+    /// - `e > max_mismatches` already implies the full-width mismatch count
+    ///   exceeds `max_mismatches` (same-phase substitution infeasible);
+    /// - `c − e > max_matches` already implies the full-width *match* count
+    ///   exceeds `max_matches` — and the full match count is exactly the
+    ///   inverted-phase mismatch count `N − diff` (inverted substitution
+    ///   infeasible). `max_matches: None` marks the inverted phase as
+    ///   infeasible from the outset.
+    ///
+    /// When both hold, the probe returns with `early_exit: true` and a
+    /// partial `count`; the caller's accept/reject decision is then
+    /// byte-identical to a full scan. Otherwise the scan runs to completion
+    /// and `count` is the exact [`difference_count`](Self::difference_count).
+    ///
+    /// Only full 64-pattern words are counted as covered before the final
+    /// word, so the match bound never credits the canonical-zero tail bits
+    /// as agreements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node was not simulated.
+    pub fn difference_probe(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        max_mismatches: u64,
+        max_matches: Option<u64>,
+        start_words: usize,
+    ) -> DiffProbe {
+        let wps = self.words_per_signal;
+        let wa = self.node_words(a);
+        let wb = self.node_words(b);
+        let mut mismatches = 0u64;
+        let mut scanned = 0usize;
+        let mut end = start_words.clamp(1, wps);
+        loop {
+            for w in scanned..end {
+                mismatches += u64::from((wa[w] ^ wb[w]).count_ones());
+            }
+            scanned = end;
+            if scanned == wps {
+                return DiffProbe {
+                    count: mismatches,
+                    words_scanned: scanned as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
+                    early_exit: false,
+                };
+            }
+            // Every scanned word is a full 64 patterns (only the final word
+            // can be partial, and `scanned < wps` here).
+            let covered = (scanned * 64) as u64; // lint:allow(as-cast): usize fits u64 on all supported targets
+            let same_feasible = mismatches <= max_mismatches;
+            let inv_feasible = max_matches.is_some_and(|mm| covered - mismatches <= mm);
+            if !same_feasible && !inv_feasible {
+                return DiffProbe {
+                    count: mismatches,
+                    words_scanned: scanned as u64, // lint:allow(as-cast): usize fits u64 on all supported targets
+                    early_exit: true,
+                };
+            }
+            end = (end * 2).min(wps);
+        }
     }
+}
+
+/// Result of one [`SimResult::difference_probe`] scan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DiffProbe {
+    /// Mismatching patterns counted before the scan stopped: the exact
+    /// difference count when `early_exit` is false, otherwise a prefix
+    /// count that already proves both phases infeasible.
+    pub count: u64,
+    /// Signature words actually read (per signal).
+    pub words_scanned: u64,
+    /// Whether the scan stopped at a word prefix.
+    pub early_exit: bool,
 }
 
 /// Evaluates node `id`'s cover over the fanin signatures stored in the flat
 /// arena `words` (stride `wps`), writing the tail-canonical result into
-/// `out`. Shared by [`simulate`] and the incremental engine so both compute
+/// `out`. Shared by [`simulate`] and [`SimResult::update`] so both compute
 /// bit-identical signatures.
-pub(crate) fn eval_node_flat(
+fn eval_node_flat(
     net: &Network,
     id: NodeId,
     words: &[u64],
@@ -154,8 +261,9 @@ pub(crate) fn eval_node_flat(
 }
 
 /// Simulates the network under the pattern set, producing per-node
-/// signatures. One run serves every consumer: error-rate measurement, local
-/// pattern statistics and signature-based redundancy detection (§3.2, §6).
+/// signatures — the one way to build a [`SimResult`]. One run serves every
+/// consumer: error-rate measurement, local pattern statistics and
+/// signature-based redundancy detection (§3.2, §6).
 ///
 /// # Panics
 ///
@@ -195,6 +303,12 @@ pub fn simulate(net: &Network, patterns: &PatternSet) -> SimResult {
         tail_mask,
         words,
         live,
+        undo: Vec::new(),
+        full_resim: false,
+        #[cfg(test)]
+        sabotage_skip_nth: None,
+        #[cfg(test)]
+        recompute_counter: 0,
     }
 }
 
@@ -331,5 +445,67 @@ mod tests {
             let last = *sim.node_words(nota).last().unwrap();
             assert_eq!(last & !sim.tail_mask(), 0, "tail garbage at {n}");
         }
+    }
+
+    #[test]
+    fn difference_probe_matches_full_scan_and_only_early_exits_soundly() {
+        // Two 8-PI signals over 256 patterns (4 words): a PI and a gate.
+        let mut net = Network::new("probe");
+        let pis: Vec<NodeId> = (0..8).map(|i| net.add_pi(format!("x{i}"))).collect();
+        let y = net.add_node(
+            "y",
+            vec![pis[0], pis[1]],
+            Cover::from_cubes(2, [cube(&[(0, true), (1, true)])]),
+        );
+        net.add_po("y", y);
+        let sim = simulate(&net, &PatternSet::exhaustive(8).unwrap());
+        let full = sim.difference_count(pis[2], y);
+        // Unbounded limits: the probe always completes with the exact count.
+        let probe = sim.difference_probe(pis[2], y, u64::MAX, Some(u64::MAX), 1);
+        assert_eq!(
+            probe,
+            DiffProbe {
+                count: full,
+                words_scanned: 4,
+                early_exit: false
+            }
+        );
+        // Tight limits on a dissimilar pair: early exit from the first word,
+        // and the partial count already exceeds the mismatch limit while the
+        // match bound is violated too.
+        let tight = sim.difference_probe(pis[2], y, 3, Some(3), 1);
+        assert!(tight.early_exit);
+        assert_eq!(tight.words_scanned, 1);
+        assert!(tight.count > 3 && 64 - tight.count > 3);
+        // A pair similar in the inverted phase is never early-exited by a
+        // tight mismatch limit alone.
+        let mut inv_net = Network::new("inv");
+        let a = inv_net.add_pi("a");
+        let filler = inv_net.add_pi("f");
+        let na = inv_net.add_node("na", vec![a], Cover::from_cubes(1, [cube(&[(0, false)])]));
+        inv_net.add_po("na", na);
+        inv_net.add_po("f", filler);
+        let s2 = simulate(&inv_net, &PatternSet::random(2, 256, 7));
+        let inv_probe = s2.difference_probe(a, na, 0, Some(0), 1);
+        assert!(!inv_probe.early_exit, "perfect inverse must scan fully");
+        assert_eq!(inv_probe.count, 256, "a vs a' differs everywhere");
+    }
+
+    #[test]
+    fn signatures_are_shareable_across_scoped_threads() {
+        let (net, y) = xor_net();
+        let sim = simulate(&net, &PatternSet::exhaustive(2).unwrap());
+        let shared = &sim;
+        let counts: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(move || shared.count_ones(y)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(counts.iter().all(|&c| c == 2));
+        assert_eq!(
+            crate::local_pattern_counts(&net, shared, y),
+            vec![1, 1, 1, 1]
+        );
     }
 }

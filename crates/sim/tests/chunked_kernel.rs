@@ -17,7 +17,7 @@ mod common;
 
 use als_circuits::registry::all_benchmarks;
 use als_network::{Network, NodeId};
-use als_sim::{error_rate_from_view, po_words, simulate, PatternSet};
+use als_sim::{error_rate_from_sim, po_words, simulate, PatternSet};
 use common::random_network;
 use proptest::{seed_from_name, TestRng};
 
@@ -121,7 +121,7 @@ fn chunked_matches_scalar_on_all_registry_circuits() {
         let sim = simulate(&net, &patterns);
         let reference = po_words(&net, &sim);
         assert_eq!(
-            error_rate_from_view(&reference, &net, sim.view()),
+            error_rate_from_sim(&reference, &net, &sim),
             0.0,
             "{}: self-comparison must be exactly zero",
             bench.name

@@ -1,5 +1,5 @@
-//! Oracle for SASIMI's pair probe: [`SimView::difference_probe`] against
-//! the full-width [`SimView::difference_count`].
+//! Oracle for SASIMI's pair probe: [`SimResult::difference_probe`] against
+//! the full-width [`SimResult::difference_count`].
 //!
 //! SASIMI's candidate scan probes every (target, substitute) pair from a
 //! one-word prefix and drops the pairs the probe stops early on. That is
@@ -11,8 +11,8 @@
 //!   `max_matches` (or the inverted phase was ruled out with `None`);
 //! * a scan that runs to the end returns the full count.
 //!
-//! [`SimView::difference_probe`]: als_sim::SimView::difference_probe
-//! [`SimView::difference_count`]: als_sim::SimView::difference_count
+//! [`SimResult::difference_probe`]: als_sim::SimResult::difference_probe
+//! [`SimResult::difference_count`]: als_sim::SimResult::difference_count
 
 mod common;
 
@@ -44,9 +44,8 @@ fn difference_probe_agrees_with_the_full_count() {
             let vectors: Vec<u64> = (0..num_patterns).map(|_| rng.next_u64()).collect();
             let patterns = PatternSet::from_vectors(net.num_pis(), &vectors);
             let sim = simulate(&net, &patterns);
-            let view = sim.view();
             let n = num_patterns as u64;
-            let wps = view.words_per_signal();
+            let wps = sim.words_per_signal();
             for &a in &ids {
                 for &b in &ids {
                     let max_mismatches = random_limit(&mut rng, n);
@@ -58,9 +57,9 @@ fn difference_probe_agrees_with_the_full_count() {
                     } else {
                         rng.below(wps as u64 + 2) as usize
                     };
-                    let diff = view.difference_count(a, b);
+                    let diff = sim.difference_count(a, b);
                     let probe =
-                        view.difference_probe(a, b, max_mismatches, max_matches, start_words);
+                        sim.difference_probe(a, b, max_mismatches, max_matches, start_words);
                     let what = format!(
                         "case {case}, {num_patterns} patterns, {a}/{b}, limits \
                          {max_mismatches}/{max_matches:?}, start {start_words}: {probe:?}, \

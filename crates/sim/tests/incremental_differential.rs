@@ -1,7 +1,7 @@
 //! Differential verification of the incremental resimulation kernel.
 //!
-//! Property: after *every* `IncrementalSim::update` and after *every*
-//! `rollback`, the incremental signatures are word-for-word identical to a
+//! Property: after *every* `SimResult::update` and after *every*
+//! `rollback`, the updated signatures are word-for-word identical to a
 //! fresh full `simulate` of the same network. Networks and rewrite chains
 //! are generated from the deterministic proptest RNG, so failures reproduce.
 //!
@@ -12,25 +12,25 @@
 //!
 //! Falsifiability of this check itself is proven by the seeded-mutant unit
 //! test `sabotaged_kernel_is_caught_by_the_differential_check` inside
-//! `src/incremental.rs` (the sabotage hook is `#[cfg(test)]`, invisible
-//! here): a kernel that skips one TFO node fails the identical comparison.
+//! `src/simulator/incremental.rs` (the sabotage hook is `#[cfg(test)]`,
+//! invisible here): a kernel that skips one TFO node fails the identical
+//! comparison.
 
 mod common;
 
 use als_logic::{Cover, Cube, Expr};
 use als_network::{Network, NodeId};
-use als_sim::{simulate, IncrementalSim, PatternSet};
+use als_sim::{simulate, PatternSet, SimResult};
 use common::random_network;
 use proptest::{seed_from_name, TestRng};
 
 /// The differential check: every live node of `net` must have identical
-/// words in the incremental arena and in a fresh simulation.
-fn assert_view_matches(net: &Network, patterns: &PatternSet, inc: &IncrementalSim, what: &str) {
+/// words in the updated store and in a fresh simulation.
+fn assert_matches_fresh(net: &Network, patterns: &PatternSet, sim: &SimResult, what: &str) {
     let fresh = simulate(net, patterns);
-    let view = inc.view();
     for id in net.node_ids() {
         assert_eq!(
-            view.node_words(id),
+            sim.node_words(id),
             fresh.node_words(id),
             "{what}: node {id} diverged from fresh simulation"
         );
@@ -75,8 +75,8 @@ fn random_expr(rng: &mut TestRng, k: usize) -> Expr {
 
 /// The main chain property: random network, then a chain of random rewrites
 /// with incremental updates, random rollbacks and occasional constant
-/// propagation — the incremental arena must match a fresh simulation at
-/// every observation point.
+/// propagation — the updated store must match a fresh simulation at every
+/// observation point.
 #[test]
 fn incremental_matches_fresh_simulation_over_random_rewrite_chains() {
     let mut rng = TestRng::new(seed_from_name(
@@ -87,8 +87,8 @@ fn incremental_matches_fresh_simulation_over_random_rewrite_chains() {
     for case in 0..48 {
         let mut net = random_network(&mut rng, case);
         let patterns = PatternSet::exhaustive(net.num_pis()).expect("≤ 4 PIs");
-        let mut inc = IncrementalSim::new(&net, &patterns);
-        assert_view_matches(&net, &patterns, &inc, "after construction");
+        let mut sim = simulate(&net, &patterns);
+        assert_matches_fresh(&net, &patterns, &sim, "after construction");
         for _step in 0..5 {
             let snapshot = net.clone();
             // Sometimes a batch of two rewrites under one update, mirroring
@@ -105,26 +105,26 @@ fn incremental_matches_fresh_simulation_over_random_rewrite_chains() {
                     }
                 }
             }
-            let delta = inc.update(&net, &dirty);
+            let delta = sim.update(&net, &dirty);
             total_early_exits += delta.skipped_early_exit;
             if delta.dirty == 1 && delta.resim_nodes >= 2 {
                 total_multi_level += 1;
             }
-            assert_view_matches(&net, &patterns, &inc, "after update");
+            assert_matches_fresh(&net, &patterns, &sim, "after update");
             if rng.below(2) == 0 {
-                inc.rollback();
+                sim.rollback();
                 net = snapshot;
-                assert_view_matches(&net, &patterns, &inc, "after rollback");
+                assert_matches_fresh(&net, &patterns, &sim, "after rollback");
             } else {
-                inc.commit();
+                sim.commit();
                 if rng.below(4) == 0 {
                     // Constant propagation rewrites surviving users
                     // function-preservingly and sweeps dead nodes: liveness
                     // reconciliation alone must keep the arena consistent.
                     net.propagate_constants();
-                    inc.update(&net, &[]);
-                    assert_view_matches(&net, &patterns, &inc, "after propagate_constants");
-                    inc.commit();
+                    sim.update(&net, &[]);
+                    assert_matches_fresh(&net, &patterns, &sim, "after propagate_constants");
+                    sim.commit();
                 }
             }
         }
@@ -153,7 +153,7 @@ fn substitution_with_a_new_inverter_matches_fresh() {
     for case in 0..24 {
         let mut net = random_network(&mut rng, case);
         let patterns = PatternSet::exhaustive(net.num_pis()).expect("≤ 4 PIs");
-        let mut inc = IncrementalSim::new(&net, &patterns);
+        let mut sim = simulate(&net, &patterns);
         let internals: Vec<NodeId> = net.internal_ids().collect();
         // Pick a target with at least one fanout (so the dirty set is
         // non-empty) and a source outside its TFO (acyclicity).
@@ -176,14 +176,14 @@ fn substitution_with_a_new_inverter_matches_fresh() {
             ),
         );
         net.substitute(target, inv);
-        inc.update(&net, &users);
-        assert_view_matches(&net, &patterns, &inc, "after substitution");
+        sim.update(&net, &users);
+        assert_matches_fresh(&net, &patterns, &sim, "after substitution");
         net.propagate_constants();
-        inc.update(&net, &[]);
-        assert_view_matches(&net, &patterns, &inc, "after propagate_constants");
-        inc.rollback();
+        sim.update(&net, &[]);
+        assert_matches_fresh(&net, &patterns, &sim, "after propagate_constants");
+        sim.rollback();
         net = snapshot;
-        assert_view_matches(&net, &patterns, &inc, "after substitution rollback");
+        assert_matches_fresh(&net, &patterns, &sim, "after substitution rollback");
         exercised += 1;
     }
     assert!(exercised > 0, "vacuous: no substitution trial ran");

@@ -90,7 +90,7 @@ pub enum Event {
         nanos: u64,
     },
     /// One incremental dirty-set resimulation completed (see
-    /// `als_sim::IncrementalSim`): only the transitive fanout of the dirty
+    /// `als_sim::SimResult::update`): only the transitive fanout of the dirty
     /// nodes was re-evaluated, with equal-signature branches early-exited.
     Resimulated {
         /// Distinct live internal nodes the caller marked dirty.
